@@ -9,8 +9,8 @@ Subcommands::
     next   EXPR       print the next-literal partition, one literal per line
     trace  LHS RHS    like check, but stream the rule trace as JSON lines
 
-Exit codes: 0 holds/match, 1 fails/no match, 2 errors (parse, usage, fuel),
-3 oracle disagreement under ``--oracle-check``.
+Exit codes: 0 holds/match, 1 fails/no match, 2 errors (parse, usage, fuel,
+internal), 3 oracle disagreement under ``--oracle-check``.
 """
 
 from __future__ import annotations
@@ -124,11 +124,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except FuelExhausted as exc:
+    except (FuelExhausted, ParseError, AlgebraError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_ERROR
-    except (ParseError, AlgebraError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a crash must never read as a verdict
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EX_ERROR
 
 

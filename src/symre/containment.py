@@ -77,9 +77,19 @@ def shortest_word(b: ExprBuilder, r: Ere, fuel: int = DEFAULT_FUEL) -> Optional[
     the derivative graph, expanding next literals in canonical order, so
     the result is the least word under the shortlex order induced by the
     algebra's symbol order.
+
+    Answers are memoized in the builder's ``word_cache``, which is not
+    thread-safe.  A search that finds a word records it for ``r``.  A search
+    that runs out of nodes records every node it saw as empty: each of them
+    reaches only non-nullable nodes through its per-class derivatives.
+    Later searches answer a recorded node at once and never expand a child
+    already known to be empty.  Nothing is recorded when the fuel runs out.
     """
     if r.nullable:
         return ()
+    memo = b.word_cache
+    if r.eid in memo:
+        return memo[r.eid]
     alg = b.algebra
     seen = {r.eid}
     queue: deque[tuple[Ere, tuple]] = deque([(r, ())])
@@ -88,15 +98,19 @@ def shortest_word(b: ExprBuilder, r: Ere, fuel: int = DEFAULT_FUEL) -> Optional[
         for a_set in next_literals(b, node):
             a = alg.pick_witness(a_set)
             child = deriv_symbol(b, a, node)
-            if child.eid in seen:
+            # The default () is never stored for a non-nullable node, so only
+            # a recorded None (a known-empty child) is skipped here.
+            if child.eid in seen or memo.get(child.eid, ()) is None:
                 continue
             seen.add(child.eid)
             if len(seen) > fuel:
                 raise FuelExhausted(len(seen), len(word) + 1)
             grown = word + (a,)
             if child.nullable:
+                memo[r.eid] = grown
                 return grown
             queue.append((child, grown))
+    memo.update(dict.fromkeys(seen))
     return None
 
 
@@ -105,7 +119,9 @@ class Checker:
 
     A checker instance owns its builder's interning table and memo caches
     for the duration of a query; run concurrent queries on separate
-    instances.  ``global_memo`` keeps every visited pair for cycle
+    instances.  Emptiness answers and shortest witnesses are memoized per
+    builder across queries (see ``shortest_word``); that memo is not
+    thread-safe either.  ``global_memo`` keeps every visited pair for cycle
     detection (the default); disabling it scopes assumptions to the
     current unfolding path exactly as the rules are stated.
     """

@@ -4,8 +4,8 @@ Useful when the alphabet is itself a language -- e.g. object field names --
 and a "character class" is a regular expression over an inner alphabet.
 Set operations map to the inner expression operators, and the decidable
 questions (emptiness, equality, membership) are answered by the engine's
-own checker running over the inner bitset alphabet, so the layering is
-strictly acyclic.
+own checker and emptiness search running over the inner bitset alphabet,
+so the layering is strictly acyclic.
 
 Outer words over this algebra are tuples of inner words.
 """
@@ -30,15 +30,15 @@ class RegexAlgebra(Algebra):
     """Sets of inner-alphabet words, represented as inner expressions.
 
     Unlike the character algebras, representations are not canonical per
-    denotation; equality and emptiness are decided semantically by the
-    inner containment checker (and memoized).
+    denotation; equality is decided semantically by the inner containment
+    checker.  Emptiness and witnesses come from ``shortest_word``, memoized
+    in the inner builder's ``word_cache``; like the builder, an instance is
+    not thread-safe.
     """
 
     def __init__(self, inner_symbols: str):
         self.inner = ExprBuilder(BitsetAlgebra(inner_symbols))
         self._checker = Checker(self.inner)
-        self._empty: dict[int, bool] = {}
-        self._witness: dict[int, str] = {}
 
     def set_of(self, text: str) -> RegexSet:
         """Build a set from inner concrete syntax, e.g. ``"a(a|b)*"``."""
@@ -64,11 +64,10 @@ class RegexAlgebra(Algebra):
 
     def is_empty(self, a: RegexSet) -> bool:
         self._own(a)
-        out = self._empty.get(a.expr.eid)
-        if out is None:
-            out = self._decide(a.expr, self.inner.bottom())
-            self._empty[a.expr.eid] = out
-        return out
+        try:
+            return shortest_word(self.inner, a.expr) is None
+        except FuelExhausted as exc:
+            raise AlgebraError(f"inner emptiness decision failed: {exc}") from exc
 
     def is_equal(self, a: RegexSet, b: RegexSet) -> bool:
         self._own(a, b)
@@ -93,14 +92,10 @@ class RegexAlgebra(Algebra):
 
     def pick_witness(self, a: RegexSet) -> str:
         self._own(a)
-        word = self._witness.get(a.expr.eid)
-        if word is None:
-            symbols = shortest_word(self.inner, a.expr)
-            if symbols is None:
-                raise AlgebraError("cannot pick a witness from the empty set")
-            word = "".join(symbols)
-            self._witness[a.expr.eid] = word
-        return word
+        symbols = shortest_word(self.inner, a.expr)
+        if symbols is None:
+            raise AlgebraError("cannot pick a witness from the empty set")
+        return "".join(symbols)
 
     def symbol_key(self, symbol: str) -> tuple[int, str]:
         # Shortlex: inner words are ordered by length, then lexicographically.

@@ -18,7 +18,7 @@ the universal language as ``.*``.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 from .alphabet import Algebra, AlgebraError, SymbolSet
 
@@ -98,17 +98,21 @@ class ExprBuilder:
     """Owner of the interning table and the smart constructors.
 
     A builder is bound to one algebra; expressions from different builders
-    must never be mixed.  The table is the only mutable state and is meant
-    to be confined to a single checker instance.
+    must never be mixed.  The table and the memo caches beside it are the
+    only mutable state; they are not thread-safe and are meant to be
+    confined to a single checker instance.
     """
 
     def __init__(self, algebra: Algebra):
         self.algebra = algebra
         self._table: dict[tuple, Ere] = {}
         self._next_id = 0
-        # Memo tables used by the derivative and next-literal operations.
+        # Memo tables used by the derivative, next-literal and emptiness
+        # operations (``word_cache`` maps an eid to its shortest word, or to
+        # ``None`` when the language is empty; see ``shortest_word``).
         self.deriv_cache: dict[tuple, Ere] = {}
         self.next_cache: dict[int, tuple[SymbolSet, ...]] = {}
+        self.word_cache: dict[int, Optional[tuple]] = {}
         self._bottom = self.literal(algebra.bottom())
 
     def _intern(self, key: tuple, ctor: Callable, *args, nullable: bool) -> Ere:

@@ -166,3 +166,11 @@ def test_witness_escaping(capsys):
     code, out, _ = run(capsys, "check", "--alphabet", "cofinite", "[^a]", "[]")
     assert code == 1
     assert out == "FAILS witness=\\u{0}\n"
+
+
+def test_internal_error_exit_code(capsys):
+    # a crash must exit 2, never 1 (FAILS); here the parser's recursion overflows
+    code, out, err = run(capsys, "check", "a" * 3000, "a*")
+    assert code == 2
+    assert not out
+    assert err.startswith("error: internal error: RecursionError: ")

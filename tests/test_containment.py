@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from symre import containment
 from symre.alphabet import BitsetAlgebra, FiniteCofiniteAlgebra, IntervalAlgebra
 from symre.containment import (
     Checker,
@@ -207,6 +208,40 @@ def test_shortest_word(b):
     assert shortest_word(b, b.parse("(ba|ab)c")) == ("a", "b", "c")
     assert shortest_word(b, b.parse("a&b")) is None
     assert shortest_word(b, b.parse("!(.*)")) is None
+
+    # the builder's memo never changes an answer: a builder warmed by
+    # criterion-3 style checks and by checks against [] answers every
+    # expression exactly as a fresh builder does
+    alg = BitsetAlgebra("ab")
+    warm = ExprBuilder(alg)
+    chk = Checker(warm)
+    rng = random.Random(44)
+    raws = [random_raw(rng, alg, 10) for _ in range(600)]
+    exprs = [warm.build(raw) for raw in raws]
+    for r, s in zip(exprs[::2], exprs[1::2]):
+        chk.check(r, s)
+        chk.check(r, warm.bottom())
+    assert warm.word_cache
+    for raw, r in zip(raws, exprs):
+        fresh = ExprBuilder(alg)
+        assert shortest_word(warm, r) == shortest_word(fresh, fresh.build(raw))
+
+
+def test_emptiness_cost_is_linear_in_visited_pairs(b, monkeypatch):
+    # every visited pair of r & !r <= [] asks for a shortest word; the memo
+    # answers all but the first search, so the derivative work stays linear
+    searched = []
+    original = containment.deriv_symbol
+
+    def counting(*args):
+        searched.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(containment, "deriv_symbol", counting)
+    r = b.parse("(a|b)*a" + "(a|b)" * 9)
+    verdict = Checker(b).check(b.and_(r, b.not_(r)), b.bottom())
+    assert verdict.holds and verdict.stats.visited == 2049
+    assert len(searched) <= 2 * verdict.stats.visited
 
 
 # -- other algebras ------------------------------------------------------------------

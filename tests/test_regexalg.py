@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from symre.alphabet import AlgebraError
-from symre.containment import Checker, membership
-from symre.regexalg import RegexAlgebra
+from symre.containment import Checker, membership, shortest_word
+from symre.regexalg import RegexAlgebra, RegexSet
 from symre.syntax import ExprBuilder
+
+from exprgen import random_raw
 
 
 @pytest.fixture
@@ -38,6 +42,27 @@ def test_pick_witness_is_shortlex_least(alg):
     assert alg.pick_witness(alg.complement(alg.set_of("()|a|b"))) == "aa"
     with pytest.raises(AlgebraError):
         alg.pick_witness(alg.set_of("a&b"))
+
+
+def test_emptiness_and_witness_agree_with_inner_searches(alg):
+    # is_empty and pick_witness read the inner builder's memo; they must
+    # agree with an inner containment check and with a fresh search
+    inner_alg = alg.inner.algebra
+    chk = Checker(alg.inner)
+    rng = random.Random(46)
+    for i in range(400):
+        raw = random_raw(rng, inner_alg, 8)
+        a = RegexSet(alg, alg.inner.build(raw))
+        if i % 2:  # let the checker fill the memo first on every other set
+            holds = chk.check(a.expr, alg.inner.bottom()).holds
+            empty = alg.is_empty(a)
+        else:
+            empty = alg.is_empty(a)
+            holds = chk.check(a.expr, alg.inner.bottom()).holds
+        assert empty == holds
+        if not empty:
+            fresh = ExprBuilder(inner_alg)
+            assert alg.pick_witness(a) == "".join(shortest_word(fresh, fresh.build(raw)))
 
 
 def test_no_class_syntax(alg):
