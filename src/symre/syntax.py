@@ -27,6 +27,24 @@ from .alphabet import Algebra, AlgebraError, SymbolSet
 # ("not", raw) | ("union"|"concat"|"and", raw, raw).
 RawExpr = tuple
 
+# Marks a pending constructor call on ``ExprBuilder.build``'s work stack.
+_APPLY = object()
+
+
+def _chain_operands(raw: RawExpr) -> list[RawExpr]:
+    """The operands of the maximal chain of ``raw``'s binary operator, in
+    source order, however the chain is parenthesized."""
+    tag = raw[0]
+    operands: list[RawExpr] = []
+    stack = [raw]
+    while stack:
+        node = stack.pop()
+        if node[0] == tag:
+            stack += (node[2], node[1])
+        else:
+            operands.append(node)
+    return operands
+
 
 class Ere:
     """A normalized expression node; equality and hashing are by identity."""
@@ -187,7 +205,16 @@ class ExprBuilder:
         if isinstance(s, Epsilon):
             return r
         if isinstance(r, Concat):
-            return self.concat(r.head, self.concat(r.tail, s))
+            # Re-associate along r's spine, innermost first; no spine member
+            # is ``()``, ``[]`` or a Concat, so each call below interns at once.
+            heads = []
+            while isinstance(r, Concat):
+                heads.append(r.head)
+                r = r.tail
+            s = self.concat(r, s)
+            while heads:
+                s = self.concat(heads.pop(), s)
+            return s
         key = ("cat", r.eid, s.eid)
         led = self.and_led
         return self._intern(
@@ -233,74 +260,101 @@ class ExprBuilder:
         return self._intern(("not", r.eid), Not, r, nullable=not r.nullable)
 
     def build(self, raw: RawExpr) -> Ere:
-        """Fold a raw parse tree through the normalizing constructors."""
-        tag = raw[0]
-        if tag == "eps":
-            return self.epsilon()
-        if tag == "lit":
-            return self.literal(raw[1])
-        if tag == "star":
-            return self.star(self.build(raw[1]))
-        if tag == "not":
-            return self.not_(self.build(raw[1]))
-        if tag == "union":
-            return self.union(self.build(raw[1]), self.build(raw[2]))
-        if tag == "concat":
-            return self.concat(self.build(raw[1]), self.build(raw[2]))
-        if tag == "and":
-            return self.and_(self.build(raw[1]), self.build(raw[2]))
-        raise ValueError(f"unknown raw tag {tag!r}")
+        """Fold a raw parse tree through the normalizing constructors.
+
+        One pass with an explicit stack, so the depth of ``raw`` costs no
+        recursion.  A chain of one binary operator is folded as a whole: its
+        operands are built in source order, a ``concat`` chain is then joined
+        from the right (each step O(1), as the right part already leans
+        right), and a ``union`` or ``and`` chain goes to one n-ary call, so
+        no intermediate node is interned.  An n-symbol word costs O(n).
+        """
+        todo: list = [raw]  # raw trees, and ``(_APPLY, tag, arity)`` steps
+        done: list[Ere] = []  # built operands, in source order
+        push, emit = todo.append, done.append
+        while todo:
+            item = todo.pop()
+            tag = item[0]
+            if tag == "lit":
+                emit(self.literal(item[1]))
+            elif tag is _APPLY:
+                _, tag, arity = item
+                args = done[-arity:]
+                del done[-arity:]
+                if tag == "concat":
+                    node = args.pop()
+                    while args:
+                        node = self.concat(args.pop(), node)
+                elif tag == "union":
+                    node = self.union(*args)
+                elif tag == "and":
+                    node = self.and_(*args)
+                elif tag == "star":
+                    node = self.star(args[0])
+                else:
+                    node = self.not_(args[0])
+                emit(node)
+            elif tag in ("concat", "union", "and"):
+                operands = _chain_operands(item)
+                push((_APPLY, tag, len(operands)))
+                todo.extend(reversed(operands))
+            elif tag in ("star", "not"):
+                push((_APPLY, tag, 1))
+                push(item[1])
+            elif tag == "eps":
+                emit(self.epsilon())
+            else:
+                raise ValueError(f"unknown raw tag {tag!r}")
+        return done[0]
 
     def parse(self, text: str) -> Ere:
         return self.build(parse_raw(text, self.algebra))
 
 
+def _occurrences(r: Ere):
+    """Every node of the tree under ``r``, a shared node once per occurrence."""
+    stack = [r]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Concat):
+            stack += (node.head, node.tail)
+        elif isinstance(node, (Union, And)):
+            stack += node.members
+        elif isinstance(node, (Star, Not)):
+            stack.append(node.inner)
+        elif not isinstance(node, (Epsilon, Literal)):
+            raise TypeError(node)
+
+
 def size(r: Ere) -> int:
-    """Number of constructors and literals, counted on the normalized tree."""
-    if isinstance(r, (Epsilon, Literal)):
-        return 1
-    if isinstance(r, (Star, Not)):
-        return size(r.inner) + 1
-    if isinstance(r, Concat):
-        return size(r.head) + size(r.tail) + 1
-    if isinstance(r, (Union, And)):
-        return sum(size(m) for m in r.members) + len(r.members) - 1
-    raise TypeError(r)
+    """Number of constructors and literals, counted on the normalized tree
+    (an n-ary union or intersection counts as n-1 binary ones)."""
+    return sum(
+        len(n.members) - 1 if isinstance(n, (Union, And)) else 1 for n in _occurrences(r)
+    )
 
 
 def width(r: Ere) -> int:
     """Total number of literal leaves."""
-    if isinstance(r, Epsilon):
-        return 0
-    if isinstance(r, Literal):
-        return 1
-    if isinstance(r, (Star, Not)):
-        return width(r.inner)
-    if isinstance(r, Concat):
-        return width(r.head) + width(r.tail)
-    if isinstance(r, (Union, And)):
-        return sum(width(m) for m in r.members)
-    raise TypeError(r)
+    return sum(isinstance(n, Literal) for n in _occurrences(r))
+
+
+def _raw_occurrences(raw: RawExpr):
+    stack = [raw]
+    while stack:
+        node = stack.pop()
+        yield node
+        if node[0] != "lit":
+            stack.extend(node[1:])
 
 
 def raw_size(raw: RawExpr) -> int:
-    tag = raw[0]
-    if tag in ("eps", "lit"):
-        return 1
-    if tag in ("star", "not"):
-        return raw_size(raw[1]) + 1
-    return raw_size(raw[1]) + raw_size(raw[2]) + 1
+    return sum(1 for _ in _raw_occurrences(raw))
 
 
 def raw_width(raw: RawExpr) -> int:
-    tag = raw[0]
-    if tag == "eps":
-        return 0
-    if tag == "lit":
-        return 1
-    if tag in ("star", "not"):
-        return raw_width(raw[1])
-    return raw_width(raw[1]) + raw_width(raw[2])
+    return sum(node[0] == "lit" for node in _raw_occurrences(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +374,12 @@ def raw_width(raw: RawExpr) -> int:
 # '&', then '|'; so  !a*  is  !(a*)  and  a|b&c  is  a|(b&c).
 
 
+# The deepest parenthesis nesting the parser accepts.  Each level costs the
+# recursive-descent parser about six Python frames, so this keeps a parse
+# well inside the interpreter's default recursion limit.
+MAX_NESTING = 100
+
+
 class ParseError(ValueError):
     """Syntax error with the offending position and what was expected."""
 
@@ -336,6 +396,7 @@ class _Scanner:
         self.text = text
         self.pos = 0
         self.algebra = algebra
+        self.depth = 0  # open parentheses around the current position
 
     def peek(self) -> str | None:
         return self.text[self.pos] if self.pos < len(self.text) else None
@@ -436,10 +497,14 @@ def _cat(sc: _Scanner) -> RawExpr:
 
 
 def _neg(sc: _Scanner) -> RawExpr:
-    if sc.peek() == "!":
+    count = 0
+    while sc.peek() == "!":
         sc.take()
-        return ("not", _neg(sc))
-    return _post(sc)
+        count += 1
+    raw = _post(sc)
+    for _ in range(count):
+        raw = ("not", raw)
+    return raw
 
 
 def _post(sc: _Scanner) -> RawExpr:
@@ -455,11 +520,15 @@ def _atom(sc: _Scanner) -> RawExpr:
     if c is None or c in _ATOM_START_STOP or c == "]":
         raise ParseError("expected an expression atom", sc.pos)
     if c == "(":
+        if sc.depth == MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", sc.pos)
         sc.take()
         if sc.peek() == ")":
             sc.take()
             return ("eps",)
+        sc.depth += 1
         raw = _alt(sc)
+        sc.depth -= 1
         sc.expect(")")
         return raw
     if c == "[":

@@ -1,7 +1,9 @@
 import json
 
+from symre import cli
 from symre.containment import replay_trace
 from symre.cli import main
+from symre.syntax import MAX_NESTING
 
 ABC = ["--alphabet", "bitset:abc"]
 
@@ -168,9 +170,31 @@ def test_witness_escaping(capsys):
     assert out == "FAILS witness=\\u{0}\n"
 
 
-def test_internal_error_exit_code(capsys):
-    # a crash must exit 2, never 1 (FAILS); here the parser's recursion overflows
-    code, out, err = run(capsys, "check", "a" * 3000, "a*")
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # a crash must exit 2, never 1 (FAILS)
+    def crash(self, lhs, rhs):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(cli.Checker, "check", crash)
+    code, out, err = run(capsys, "check", *ABC, "a", "a*")
     assert code == 2
     assert not out
-    assert err.startswith("error: internal error: RecursionError: ")
+    assert err.startswith("error: internal error: RuntimeError: ")
+
+
+def test_long_word_gets_a_verdict(capsys):
+    code, out, err = run(capsys, "check", "--raw-metrics", "a" * 3000, "a*")
+    assert code == 0 and not err
+    assert out.splitlines() == [
+        "raw-metrics lhs: size=5999 width=3000",
+        "raw-metrics rhs: size=2 width=1",
+        "HOLDS",
+    ]
+
+
+def test_nesting_limit_exit_code(capsys):
+    code, out, err = run(capsys, "check", "(" * 5000, "a")
+    assert code == 2
+    assert not out
+    assert err.startswith("error: ") and "internal" not in err
+    assert f"nested deeper than {MAX_NESTING}" in err

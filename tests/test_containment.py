@@ -1,6 +1,8 @@
 import random
+import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from symre import containment
 from symre.alphabet import BitsetAlgebra, FiniteCofiniteAlgebra, IntervalAlgebra
@@ -197,6 +199,28 @@ def test_membership_cases(b):
     assert not membership(b, "ac", b.parse("(a.c)&(b.c)"))
     assert membership(b, "abc", b.parse("(a.c)&(ab.)"))
     assert not membership(b, "z", b.parse(".*"))  # outside the universe
+
+
+# Patterns that read the same in this syntax and in Python's ``re``, none of
+# which makes ``re`` backtrack more than linearly.
+LONG_WORD_PATTERNS = ("[ab]*", ".*abba.*", "(a|bc)*", "[ab]*c[ab]*", "(ab|b|c)*a")
+
+
+@settings(max_examples=20)
+@example(10**4, "ab", 0)
+@example(10**4, "abc", 0)
+@given(st.integers(0, 10**4), st.sampled_from(["ab", "abc"]), st.integers(0, 2**32))
+def test_long_words_get_verdicts(n, letters, seed):
+    rng = random.Random(seed)
+    word = "".join(rng.choice(letters) for _ in range(n))
+    b = ExprBuilder(BitsetAlgebra("abc"))
+    verdict = Checker(b).check(b.parse(word or "()"), b.parse("[ab]*"))
+    assert verdict.holds == ("c" not in word)
+    if not verdict.holds:
+        assert verdict.witness == word
+    for pattern in LONG_WORD_PATTERNS:
+        expected = re.fullmatch(pattern, word) is not None
+        assert membership(b, word, b.parse(pattern)) == expected, pattern
 
 
 # -- shortest word -----------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from symre.alphabet import BitsetAlgebra, IntervalAlgebra
 from symre.syntax import (
+    MAX_NESTING,
     And,
     Concat,
     Epsilon,
@@ -109,6 +110,49 @@ def test_normalization_idempotent(b):
     for _ in range(400):
         r = b.build(random_raw(rng, b.algebra, 9))
         assert _rebuild(b, r) is r
+
+
+def _fold(b, raw):
+    """Reference semantics for ``build``: the plain recursive binary fold."""
+    tag = raw[0]
+    if tag == "eps":
+        return b.epsilon()
+    if tag == "lit":
+        return b.literal(raw[1])
+    if tag == "star":
+        return b.star(_fold(b, raw[1]))
+    if tag == "not":
+        return b.not_(_fold(b, raw[1]))
+    op = {"union": b.union, "concat": b.concat, "and": b.and_}[tag]
+    return op(_fold(b, raw[1]), _fold(b, raw[2]))
+
+
+def test_build_matches_recursive_fold(b):
+    rng = random.Random(14)
+    for _ in range(600):
+        raw = random_raw(rng, b.algebra, 12)
+        assert b.build(raw) is _fold(b, raw)
+
+
+# -- linear work on long inputs ----------------------------------------------------
+
+
+def test_long_word_interns_linearly_many_nodes(b):
+    n = 10_000
+    rng = random.Random(15)
+    before = len(b._table)
+    r = b.parse("".join(rng.choice("abc") for _ in range(n)))
+    assert len(b._table) - before <= n + 3
+    assert size(r) == 2 * n - 1 and width(r) == n
+
+
+def test_long_union_interns_one_union_node():
+    alg = BitsetAlgebra("abcdefghijklmnop")
+    b = ExprBuilder(alg)
+    words = [x + y + z for x in alg.symbols for y in alg.symbols for z in alg.symbols][:4000]
+    r = b.parse("|".join(words))
+    assert isinstance(r, Union) and len(r.members) == 4000
+    assert sum(isinstance(node, Union) for node in b._table.values()) == 1
 
 
 # -- language preservation ----------------------------------------------------
@@ -259,6 +303,22 @@ def test_parse_errors_carry_position(b, text, pos):
     with pytest.raises(ParseError) as err:
         b.parse(text)
     assert err.value.position == pos
+
+
+def test_nesting_limit(b):
+    deepest = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+    assert b.parse(deepest) is b.char("a")
+    with pytest.raises(ParseError) as err:
+        b.parse("(" + deepest + ")")
+    assert err.value.position == MAX_NESTING
+
+
+def test_long_negation_runs(b):
+    a = b.char("a")
+    assert b.parse("!" * 2000 + "a") is a
+    assert b.parse("!" * 2001 + "a") is b.not_(a)
+    raw = parse_raw("!" * 2000 + "a", b.algebra)
+    assert raw_size(raw) == 2001 and raw_width(raw) == 1
 
 
 def test_parse_class_text(b):
