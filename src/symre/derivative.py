@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .alphabet import SymbolSet
-from .nextlit import next_literals
+from .alphabet import Algebra, SymbolSet
+from .nextlit import Partition, _combine, next_literals
 from .syntax import And, Concat, Epsilon, Ere, ExprBuilder, Literal, Not, Star, Union
 
 
@@ -112,7 +112,7 @@ def deriv_literal(b: ExprBuilder, a_set: SymbolSet, r: Ere) -> Ere:
     not: by ``.`` over ``ab``, every symbol derivative of ``a&b`` is ``[]``
     but the positive derivative is ``()``.  The refinement
     precondition is the caller's obligation and is only verified when
-    assertions are enabled, since it recomputes the partition.
+    assertions are enabled.
     """
     if b.algebra.is_empty(a_set):
         raise ValueError("cannot take a derivative by the empty literal")
@@ -124,9 +124,16 @@ def deriv_literal(b: ExprBuilder, a_set: SymbolSet, r: Ere) -> Ere:
 
 
 def refines_next(b: ExprBuilder, a_set: SymbolSet, r: Ere) -> bool:
-    """True when ``a_set`` fits inside one next literal of ``r`` or misses all."""
-    alg = b.algebra
-    for member in next_literals(b, r):
+    """True when ``a_set`` fits inside one next literal of ``r`` or misses all.
+
+    The answer depends only on ``a_set`` and the partition, so it is
+    memoized with the partition combinators (see ``nextlit._combine``).
+    """
+    return _combine(b, _refines, a_set, next_literals(b, r))
+
+
+def _refines(alg: Algebra, a_set: SymbolSet, part: Partition) -> bool:
+    for member in part:
         if not alg.is_empty(alg.intersect(a_set, member)):
             return alg.is_subset(a_set, member)
     return True

@@ -28,11 +28,21 @@ widens what the checker branches on.  A refined partition is computed only
 when one of these rules asks for it, and only for a subterm with an ``&``
 at a leading position (``ExprBuilder.and_led``); any other subterm is its
 own refined partition and pays nothing for it.
+
+The combinators ``join``, ``left_join`` and ``meet`` are pure functions of
+two partitions, and the unfolding meets only a handful of distinct
+partitions while it visits thousands of pairs.  Every combination made
+here therefore goes through ``_combine``, which memoizes the result per
+builder (``ExprBuilder.partition_cache``) keyed by the combinator and the
+two partitions by value.  Symbol sets compare equal only within one
+algebra instance, so a set from another algebra never hits an entry and is
+still rejected by the operation itself.  The public combinators stay pure
+and unmemoized.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .alphabet import Algebra, SymbolSet
 from .syntax import And, Concat, Epsilon, Ere, ExprBuilder, Literal, Not, Star, Union
@@ -80,6 +90,16 @@ def meet(alg: Algebra, left: Partition, right: Partition) -> Partition:
     )
 
 
+def _combine(b: ExprBuilder, op: Callable, left, right):
+    """``op(b.algebra, left, right)``, memoized per builder by value."""
+    key = (op, left, right)
+    out = b.partition_cache.get(key)
+    if out is None:
+        out = op(b.algebra, left, right)
+        b.partition_cache[key] = out
+    return out
+
+
 def next_literals(b: ExprBuilder, r: Ere) -> Partition:
     out = b.next_cache.get(r.eid)
     if out is None:
@@ -108,22 +128,21 @@ def refined_literals(b: ExprBuilder, r: Ere) -> Partition:
 
 
 def _refined_literals(b: ExprBuilder, r: Ere) -> Partition:
-    alg = b.algebra
     if isinstance(r, (And, Union)):
-        return _join_all(alg, [refined_literals(b, m) for m in r.members])
+        return _join_all(b, [refined_literals(b, m) for m in r.members])
     if isinstance(r, Concat):
         if r.head.nullable:
-            return join(alg, refined_literals(b, r.head), refined_literals(b, r.tail))
+            return _combine(b, join, refined_literals(b, r.head), refined_literals(b, r.tail))
         return refined_literals(b, r.head)
     if isinstance(r, Star):
         return refined_literals(b, r.inner)
     raise TypeError(r)
 
 
-def _join_all(alg: Algebra, parts: list[Partition]) -> Partition:
+def _join_all(b: ExprBuilder, parts: list[Partition]) -> Partition:
     out = parts[0]
     for p in parts[1:]:
-        out = join(alg, out, p)
+        out = _combine(b, join, out, p)
     return out
 
 
@@ -144,7 +163,7 @@ def _next_literals(b: ExprBuilder, r: Ere) -> Partition:
     if isinstance(r, And):
         parts = next_literals(b, r.members[0])
         for m in r.members[1:]:
-            parts = meet(alg, parts, next_literals(b, m))
+            parts = _combine(b, meet, parts, next_literals(b, m))
         return parts
     if isinstance(r, Not):
         inner = refined_literals(b, r.inner)
@@ -158,9 +177,8 @@ def _next_literals(b: ExprBuilder, r: Ere) -> Partition:
 
 def _next_of_join(b: ExprBuilder, members: tuple[Ere, ...]) -> Partition:
     """The ``join`` of the members' partitions, split by the literals they dropped."""
-    alg = b.algebra
     parts = [next_literals(b, m) for m in members]
-    out = _join_all(alg, parts)
+    out = _join_all(b, parts)
     for m, part in zip(members, parts):
         fine = refined_literals(b, m)
         if fine is not part:
@@ -168,10 +186,17 @@ def _next_of_join(b: ExprBuilder, members: tuple[Ere, ...]) -> Partition:
             # members of ``fine`` are those of ``part``, or outside it, where
             # ``left_join`` splits it by the literals ``m`` dropped; the
             # coverage stays the same.
-            out = left_join(alg, out, fine)
+            out = _combine(b, left_join, out, fine)
     return out
 
 
 def next_of_ineq(b: ExprBuilder, r: Ere, s: Ere) -> Partition:
-    """Next literals of the inequality ``r`` contained-in ``s``."""
-    return left_join(b.algebra, next_literals(b, r), next_literals(b, s))
+    """Next literals of the inequality ``r`` contained-in ``s``.
+
+    The classes split ``r``'s coverage by ``s``'s plain partition only.  A
+    class outside ``s``'s coverage may therefore straddle a literal that an
+    ``&`` in ``s`` dropped, and the set derivatives of ``s`` by it may
+    differ.  The checker only takes symbol derivatives by each class's
+    witness, so no verdict depends on this.
+    """
+    return _combine(b, left_join, next_literals(b, r), next_literals(b, s))

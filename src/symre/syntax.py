@@ -126,11 +126,14 @@ class ExprBuilder:
         self._table: dict[tuple, Ere] = {}
         self._next_id = 0
         # Memo tables used by the derivative, next-literal and emptiness
-        # operations (``word_cache`` maps an eid to its shortest word, or to
-        # ``None`` when the language is empty; see ``shortest_word``).
+        # operations.  ``word_cache`` maps an eid to its shortest word, or to
+        # ``None`` when the language is empty (see ``shortest_word``);
+        # ``partition_cache`` maps a partition combinator and its two
+        # arguments, by value, to its result (see ``nextlit._combine``).
         self.deriv_cache: dict[tuple, Ere] = {}
         self.next_cache: dict[int, tuple[SymbolSet, ...]] = {}
         self.refined_cache: dict[int, tuple[SymbolSet, ...]] = {}
+        self.partition_cache: dict[tuple, object] = {}
         # The eids of the nodes with an ``&`` at a leading position outside
         # every ``!``, set when a node is interned; kept here rather than on
         # the nodes so that expressions without ``&`` pay no memory for it

@@ -17,6 +17,9 @@ DEFAULT_WEIGHTS = {
     "and": 2,
 }
 
+# Heavier on the extended operators ``&`` and ``!`` (acceptance criterion 3).
+C3_WEIGHTS = {"lit": 3, "eps": 1, "star": 2, "not": 3, "union": 3, "concat": 3, "and": 3}
+
 
 def random_set(rng: random.Random, algebra: BitsetAlgebra):
     roll = rng.random()

@@ -17,9 +17,7 @@ from symre.nextlit import join, left_join, next_literals, partition_union
 from symre.oracle import SliceOracle
 from symre.syntax import ExprBuilder, parse_class_text, size, width
 
-from exprgen import has_extended_ops, random_partition, random_raw, random_set
-
-C3_WEIGHTS = {"lit": 3, "eps": 1, "star": 2, "not": 3, "union": 3, "concat": 3, "and": 3}
+from exprgen import C3_WEIGHTS, has_extended_ops, random_partition, random_raw, random_set
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> bool:

@@ -123,6 +123,16 @@ def test_refines_next(b):
     assert not refines_next(b, b.algebra.from_chars("ac"), r)
 
 
+@pytest.mark.skipif(not __debug__, reason="the check is an assert, removed by -O")
+def test_refinement_check_fires_on_every_call(b):
+    # the memoized answer is asserted again on each call
+    ac = b.algebra.from_chars("ac")
+    r = b.parse("(a|b)*")
+    for _ in range(2):
+        with pytest.raises(AssertionError):
+            deriv_literal(b, ac, r)
+
+
 # -- word derivative ---------------------------------------------------------------
 
 

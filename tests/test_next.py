@@ -2,7 +2,10 @@ import random
 
 import pytest
 
-from symre.alphabet import BitsetAlgebra
+from symre import nextlit
+from symre.alphabet import AlgebraError, BitsetAlgebra
+from symre.containment import Checker
+from symre.derivative import refines_next
 from symre.nextlit import (
     canonical_partition,
     join,
@@ -11,10 +14,11 @@ from symre.nextlit import (
     next_literals,
     next_of_ineq,
     partition_union,
+    refined_literals,
 )
 from symre.syntax import And, Concat, ExprBuilder, Literal, Not, Star, Union, width
 
-from exprgen import random_partition, random_raw
+from exprgen import C3_WEIGHTS, random_partition, random_raw
 
 
 @pytest.fixture
@@ -249,3 +253,64 @@ def test_finiteness_bound_on_exponential_family():
     part = next_literals(b, family)
     assert len(part) == 1 << n
     assert len(part) <= 1 << width(family)
+
+
+# -- the builder's partition memo --------------------------------------------------
+
+
+def test_partition_memo_runs_each_combination_once(monkeypatch):
+    # the unfolding meets a handful of distinct partitions at thousands of
+    # pairs; each combination of two of them is computed once per builder
+    runs = []
+    for name in ("join", "left_join", "meet"):
+        original = getattr(nextlit, name)
+
+        def counting(alg, left, right, _name=name, _original=original):
+            runs.append(_name)
+            return _original(alg, left, right)
+
+        monkeypatch.setattr(nextlit, name, counting)
+    b = ExprBuilder(BitsetAlgebra("ab"))
+    r = b.parse("(a|b)*a" + "(a|b)" * 9)
+    s = b.union(r, b.parse("(a|b)*b" + "(a|b)" * 9))
+    verdict = Checker(b).check(r, s)
+    assert verdict.holds and verdict.stats.visited == 4095
+    assert len(runs) <= len(b.partition_cache)
+    assert len(runs) <= 20
+
+
+def test_partition_memo_answers_as_a_fresh_builder():
+    alg = BitsetAlgebra("abc")
+    rng = random.Random(46)
+    raws = [random_raw(rng, alg, 10, C3_WEIGHTS) for _ in range(600)]
+    warm = ExprBuilder(alg)
+    exprs = [warm.build(raw) for raw in raws]
+
+    def results(b, r, s):
+        classes = next_of_ineq(b, r, s)
+        probes = classes + next_literals(b, s)
+        return (
+            next_literals(b, r),
+            refined_literals(b, r),
+            classes,
+            [refines_next(b, a, r) for a in probes],
+            [refines_next(b, a, s) for a in probes],
+        )
+
+    for r, s in zip(exprs, exprs[1:]):
+        results(warm, r, s)
+    assert warm.partition_cache
+    for raw_r, raw_s, r, s in zip(raws, raws[1:], exprs, exprs[1:]):
+        fresh = ExprBuilder(alg)
+        expected = results(fresh, fresh.build(raw_r), fresh.build(raw_s))
+        assert results(warm, r, s) == expected, (repr(r), repr(s))
+
+
+def test_partition_memo_rejects_foreign_sets():
+    # sets of another algebra instance never equal memoized ones, so they
+    # still reach the set operations, which reject them
+    b = ExprBuilder(BitsetAlgebra("abc"))
+    r = b.parse("a|b")
+    assert refines_next(b, b.algebra.from_chars("a"), r)
+    with pytest.raises(AlgebraError):
+        refines_next(b, BitsetAlgebra("abc").from_chars("a"), r)
