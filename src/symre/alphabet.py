@@ -181,6 +181,13 @@ def merge_intervals(items: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], 
     return tuple((lo, hi) for lo, hi in out)
 
 
+def _clip(alg, items: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Merge codepoint ranges clipped to ``alg``'s codepoint range."""
+    return merge_intervals(
+        (max(lo, alg.min_codepoint), min(hi, alg.max_codepoint)) for lo, hi in items
+    )
+
+
 # ---------------------------------------------------------------------------
 # Bit vectors over a small explicit alphabet
 
@@ -285,11 +292,6 @@ class IntervalAlgebra(Algebra):
         self.min_codepoint = min_codepoint
         self.max_codepoint = max_codepoint
 
-    def _clip(self, items: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-        return merge_intervals(
-            (max(lo, self.min_codepoint), min(hi, self.max_codepoint)) for lo, hi in items
-        )
-
     def bottom(self) -> IntervalSet:
         return IntervalSet(self, ())
 
@@ -348,7 +350,7 @@ class IntervalAlgebra(Algebra):
         return ord(symbol)
 
     def class_set(self, items: Sequence[tuple[int, int]], negate: bool) -> IntervalSet:
-        s = IntervalSet(self, self._clip(items))
+        s = IntervalSet(self, _clip(self, items))
         return self.complement(s) if negate else s
 
     def _intervals(self, a: IntervalSet) -> tuple[tuple[int, int], ...]:
@@ -470,7 +472,7 @@ class FiniteCofiniteAlgebra(Algebra):
     CLASS_EXPANSION_LIMIT = 1 << 16
 
     def class_set(self, items: Sequence[tuple[int, int]], negate: bool) -> FcSet:
-        ivs = self._clip_items(items)
+        ivs = _clip(self, items)
         total = sum(hi - lo + 1 for lo, hi in ivs)
         if total > self.CLASS_EXPANSION_LIMIT:
             raise AlgebraError(
@@ -479,11 +481,6 @@ class FiniteCofiniteAlgebra(Algebra):
         self.scan_steps += total
         chars = frozenset(chr(cp) for lo, hi in ivs for cp in range(lo, hi + 1))
         return self._make(negate, chars)
-
-    def _clip_items(self, items: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-        return merge_intervals(
-            (max(lo, self.min_codepoint), min(hi, self.max_codepoint)) for lo, hi in items
-        )
 
     def format_set(self, a: FcSet) -> str:
         self._own(a)

@@ -28,7 +28,7 @@ from .alphabet import (
     IntervalAlgebra,
 )
 from .containment import Checker, FuelExhausted, Verdict, membership
-from .derivative import deriv_literal, deriv_symbol, refines_next
+from .derivative import deriv_literal, refines_next
 from .nextlit import next_literals
 from .oracle import MAX_ALPHABET, SliceOracle
 from .syntax import (
@@ -158,19 +158,13 @@ def _run(args: argparse.Namespace) -> int:
         by = parse_class_text(args.by, algebra)
         if algebra.is_empty(by):
             raise AlgebraError("cannot derive by the empty class")
-        witness = algebra.pick_witness(by)
-        singleton = algebra.is_subset(by, algebra.class_set([(ord(witness), ord(witness))], False))
-        if singleton:
-            result = deriv_symbol(builder, witness, expr)
-        else:
-            if not refines_next(builder, by, expr):
-                partition = ", ".join(algebra.format_set(s) for s in next_literals(builder, expr))
-                raise AlgebraError(
-                    f"class {args.by} does not refine the next-literal "
-                    f"partition {{{partition}}}"
-                )
-            result = deriv_literal(builder, by, expr)
-        print(to_text(result))
+        if not refines_next(builder, by, expr):
+            partition = ", ".join(algebra.format_set(s) for s in next_literals(builder, expr))
+            raise AlgebraError(
+                f"class {args.by} does not refine the next-literal "
+                f"partition {{{partition}}}"
+            )
+        print(to_text(deriv_literal(builder, by, expr)))
         return EX_HOLDS
 
     if args.command == "next":

@@ -6,38 +6,31 @@ language, such that all symbols inside one member have the same derivative.
 Partitions are canonical: members are deduplicated, empty sets are filtered
 eagerly, and the collection is ordered by each member's least symbol.
 
-Refinement invariant: every member refines every *leading literal* of
-``r``, that is every literal the derivative operators reach (the literals
-of the first factor of a concatenation, and of the second too when the
-first is nullable, through every ``|``, ``&``, ``*`` and ``!``).  A member
-lies inside such a literal or misses it, so on a member the symbol
-derivative and both set-level derivatives agree exactly.
+The members are the non-empty minterms of ``r``'s *leading literals* that
+lie inside ``r``'s *coverage*.  The leading literals are the literals the
+derivative operators reach: those of the first factor of a concatenation,
+and of the second too when the first is nullable, through every ``|``,
+``&``, ``*`` and ``!``.  A minterm lies inside each of them or misses it,
+so on a member the symbol derivative and both set-level derivatives agree
+exactly.  The coverage is a literal's set; the union over ``|`` and over a
+concatenation with a nullable head; the intersection over ``&``, so an
+``&`` never widens what the checker branches on; everything under ``!``;
+nothing for ``()``.  Being a boolean combination of leading literals, it
+holds every minterm whole or misses it.
 
-An ``&`` covers only the symbols common to all its members (their
-``meet``), so the leading literals of one side that the other side does
-not share drop out of its partition.  The rules that build a member from
-the symbols outside a subterm's coverage (the complement member of ``!``,
-the outside pieces of ``join`` at ``|`` and at a concatenation with a
-nullable head) would let that member straddle a dropped literal.  They
-therefore also use the subterm's ``refined_literals``: the partition with
-``join`` in place of ``meet`` at every such ``&``, which covers every
-leading literal.  ``!`` builds its members from it; ``|`` and the
-concatenation split the classes of their plain ``join`` by it with
-``left_join``, which keeps the plain coverage, so an ``&`` still never
-widens what the checker branches on.  A refined partition is computed only
-when one of these rules asks for it, and only for a subterm with an ``&``
-at a leading position (``ExprBuilder.and_led``); any other subterm is its
-own refined partition and pays nothing for it.
-
-The combinators ``join``, ``left_join`` and ``meet`` are pure functions of
-two partitions, and the unfolding meets only a handful of distinct
-partitions while it visits thousands of pairs.  Every combination made
-here therefore goes through ``_combine``, which memoizes the result per
-builder (``ExprBuilder.partition_cache``) keyed by the combinator and the
-two partitions by value.  Symbol sets compare equal only within one
+Both are found by one walk that loops down concatenations and stars, so a
+long concatenation costs no recursion, and are memoized per node
+(``ExprBuilder.lead_cache``), except at a star or a concatenation whose
+head is not nullable: those have the leading literals and coverage of the
+node below them.  The minterms, and the classes of an
+inequality, are pure functions of a few symbol sets, and the unfolding
+meets only a handful of distinct arguments while it visits thousands of
+pairs.  They therefore go through ``_combine``, which memoizes the result
+per builder (``ExprBuilder.partition_cache``) keyed by the operation and
+its two arguments by value.  Symbol sets compare equal only within one
 algebra instance, so a set from another algebra never hits an entry and is
-still rejected by the operation itself.  The public combinators stay pure
-and unmemoized.
+still rejected by the operation itself.  The public combinators ``join``,
+``left_join`` and ``meet`` stay pure and unmemoized.
 """
 
 from __future__ import annotations
@@ -90,6 +83,25 @@ def meet(alg: Algebra, left: Partition, right: Partition) -> Partition:
     )
 
 
+def minterms(alg: Algebra, coverage: SymbolSet, literals: tuple[SymbolSet, ...]) -> Partition:
+    """The non-empty pieces of ``coverage`` that lie inside or outside each literal."""
+    pieces = [coverage]
+    for lit in literals:
+        outside = alg.complement(lit)
+        split = []
+        for p in pieces:
+            if p != lit:
+                inside = alg.intersect(p, lit)
+                if not alg.is_empty(inside):
+                    rest = alg.intersect(p, outside)
+                    if not alg.is_empty(rest):
+                        split += (inside, rest)
+                        continue
+            split.append(p)  # the piece itself, not an equal copy
+        pieces = split
+    return canonical_partition(alg, pieces)
+
+
 def _combine(b: ExprBuilder, op: Callable, left, right):
     """``op(b.algebra, left, right)``, memoized per builder by value."""
     key = (op, left, right)
@@ -103,100 +115,67 @@ def _combine(b: ExprBuilder, op: Callable, left, right):
 def next_literals(b: ExprBuilder, r: Ere) -> Partition:
     out = b.next_cache.get(r.eid)
     if out is None:
-        out = _next_literals(b, r)
+        literals, coverage = _leading(b, r)
+        out = _combine(b, minterms, coverage, literals)
         b.next_cache[r.eid] = out
     return out
 
 
-def refined_literals(b: ExprBuilder, r: Ere) -> Partition:
-    """A partition refining every leading literal of ``r``.
-
-    It covers every leading literal and the coverage of
-    ``next_literals(b, r)``; each member lies inside that coverage or
-    misses it, and the members inside it are ``next_literals(b, r)``.
-    """
-    if r.eid not in b.and_led:
-        return next_literals(b, r)
-    out = b.refined_cache.get(r.eid)
+def _leading(b: ExprBuilder, r: Ere) -> tuple[tuple[SymbolSet, ...], SymbolSet]:
+    """``r``'s distinct leading literals, in order of appearance, and its coverage."""
+    cache = b.lead_cache
+    chain = []  # the concatenations with a nullable head on the way down
+    # Stars and concatenations with a head that is not nullable are passed
+    # through unmemoized, so that every suffix of a long word costs no entry.
+    while r.eid not in cache and isinstance(r, (Concat, Star)):
+        if isinstance(r, Star):
+            r = r.inner
+        elif r.head.nullable:
+            chain.append(r)
+            r = r.tail
+        else:
+            r = r.head
+    out = cache.get(r.eid)
     if out is None:
-        out = _refined_literals(b, r)
-        part = next_literals(b, r)
-        if len(out) == len(part):  # the ``&``s below dropped no literal
-            out = part
-        b.refined_cache[r.eid] = out
+        out = cache[r.eid] = _leading_of(b, r)
+    for node in reversed(chain):
+        out = cache[node.eid] = _merge(b.algebra.union, (_leading(b, node.head), out))
     return out
 
 
-def _refined_literals(b: ExprBuilder, r: Ere) -> Partition:
-    if isinstance(r, (And, Union)):
-        return _join_all(b, [refined_literals(b, m) for m in r.members])
-    if isinstance(r, Concat):
-        if r.head.nullable:
-            return _combine(b, join, refined_literals(b, r.head), refined_literals(b, r.tail))
-        return refined_literals(b, r.head)
-    if isinstance(r, Star):
-        return refined_literals(b, r.inner)
-    raise TypeError(r)
-
-
-def _join_all(b: ExprBuilder, parts: list[Partition]) -> Partition:
-    out = parts[0]
-    for p in parts[1:]:
-        out = _combine(b, join, out, p)
-    return out
-
-
-def _next_literals(b: ExprBuilder, r: Ere) -> Partition:
+def _leading_of(b: ExprBuilder, r: Ere) -> tuple[tuple[SymbolSet, ...], SymbolSet]:
     alg = b.algebra
     if isinstance(r, Epsilon):
-        return ()
+        return (), alg.bottom()
     if isinstance(r, Literal):
-        return canonical_partition(alg, (r.symbols,))
-    if isinstance(r, Union):
-        return _next_of_join(b, r.members)
-    if isinstance(r, Concat):
-        if r.head.nullable:
-            return _next_of_join(b, (r.head, r.tail))
-        return next_literals(b, r.head)
-    if isinstance(r, Star):
-        return next_literals(b, r.inner)
-    if isinstance(r, And):
-        parts = next_literals(b, r.members[0])
-        for m in r.members[1:]:
-            parts = _combine(b, meet, parts, next_literals(b, m))
-        return parts
+        return (r.symbols,), r.symbols
     if isinstance(r, Not):
-        inner = refined_literals(b, r.inner)
-        # The extra member collects all symbols outside every inner literal,
-        # the ones an inner ``&`` dropped included, so it straddles none of
-        # them; the meet over an empty family is the full alphabet.
-        extra = alg.complement(partition_union(alg, inner))
-        return canonical_partition(alg, inner + (extra,))
+        return _leading(b, r.inner)[0], alg.top()
+    if isinstance(r, Union):
+        return _merge(alg.union, [_leading(b, m) for m in r.members])
+    if isinstance(r, And):
+        return _merge(alg.intersect, [_leading(b, m) for m in r.members])
     raise TypeError(r)
 
 
-def _next_of_join(b: ExprBuilder, members: tuple[Ere, ...]) -> Partition:
-    """The ``join`` of the members' partitions, split by the literals they dropped."""
-    parts = [next_literals(b, m) for m in members]
-    out = _join_all(b, parts)
-    for m, part in zip(members, parts):
-        fine = refined_literals(b, m)
-        if fine is not part:
-            # Each class of ``out`` lies inside ``part``'s coverage, where the
-            # members of ``fine`` are those of ``part``, or outside it, where
-            # ``left_join`` splits it by the literals ``m`` dropped; the
-            # coverage stays the same.
-            out = _combine(b, left_join, out, fine)
-    return out
+def _merge(cover: Callable, parts) -> tuple[tuple[SymbolSet, ...], SymbolSet]:
+    """All the parts' literals, and their coverages combined by ``cover``."""
+    literals, coverage = parts[0]
+    for lits, c in parts[1:]:
+        if lits is not literals:
+            literals += tuple(lit for lit in lits if lit not in literals)
+        if c is not coverage:
+            coverage = cover(coverage, c)
+    return literals, coverage
 
 
 def next_of_ineq(b: ExprBuilder, r: Ere, s: Ere) -> Partition:
     """Next literals of the inequality ``r`` contained-in ``s``.
 
-    The classes split ``r``'s coverage by ``s``'s plain partition only.  A
-    class outside ``s``'s coverage may therefore straddle a literal that an
-    ``&`` in ``s`` dropped, and the set derivatives of ``s`` by it may
-    differ.  The checker only takes symbol derivatives by each class's
+    The classes split ``r``'s coverage by ``s``'s partition only.  A class
+    outside ``s``'s coverage may therefore straddle a leading literal of
+    ``s`` that an ``&`` in ``s`` leaves out of the coverage, and the set
+    derivatives of ``s`` by it may differ.  The checker only takes symbol derivatives by each class's
     witness, so no verdict depends on this.
     """
     return _combine(b, left_join, next_literals(b, r), next_literals(b, s))

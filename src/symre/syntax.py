@@ -126,32 +126,26 @@ class ExprBuilder:
         self._table: dict[tuple, Ere] = {}
         self._next_id = 0
         # Memo tables used by the derivative, next-literal and emptiness
-        # operations.  ``word_cache`` maps an eid to its shortest word, or to
-        # ``None`` when the language is empty (see ``shortest_word``);
-        # ``partition_cache`` maps a partition combinator and its two
-        # arguments, by value, to its result (see ``nextlit._combine``).
+        # operations.  ``next_cache`` maps an eid to its next-literal
+        # partition, and ``lead_cache`` to its leading literals and coverage,
+        # the two arguments the partition's minterms are computed from (see
+        # ``nextlit``); ``partition_cache`` maps a partition operation and its
+        # two arguments, by value, to its result (see ``nextlit._combine``);
+        # ``word_cache`` maps an eid to its shortest word, or to ``None`` when
+        # the language is empty (see ``shortest_word``).
         self.deriv_cache: dict[tuple, Ere] = {}
         self.next_cache: dict[int, tuple[SymbolSet, ...]] = {}
-        self.refined_cache: dict[int, tuple[SymbolSet, ...]] = {}
+        self.lead_cache: dict[int, tuple[tuple[SymbolSet, ...], SymbolSet]] = {}
         self.partition_cache: dict[tuple, object] = {}
-        # The eids of the nodes with an ``&`` at a leading position outside
-        # every ``!``, set when a node is interned; kept here rather than on
-        # the nodes so that expressions without ``&`` pay no memory for it
-        # (see ``nextlit.refined_literals``).
-        self.and_led: set[int] = set()
         self.word_cache: dict[int, Optional[tuple]] = {}
         self._bottom = self.literal(algebra.bottom())
 
-    def _intern(
-        self, key: tuple, ctor: Callable, *args, nullable: bool, and_led: bool = False
-    ) -> Ere:
+    def _intern(self, key: tuple, ctor: Callable, *args, nullable: bool) -> Ere:
         node = self._table.get(key)
         if node is None:
             node = ctor(self._next_id, nullable, *args)
             self._next_id += 1
             self._table[key] = node
-            if and_led:
-                self.and_led.add(node.eid)
         return node
 
     def epsilon(self) -> Ere:
@@ -191,14 +185,8 @@ class ExprBuilder:
         ordered = tuple(sorted(members.values(), key=lambda n: n.eid))
         if len(ordered) == 1:
             return ordered[0]
-        eids = tuple(n.eid for n in ordered)
-        return self._intern(
-            ("union", eids),
-            Union,
-            ordered,
-            nullable=any(n.nullable for n in ordered),
-            and_led=not self.and_led.isdisjoint(eids),
-        )
+        key = ("union", tuple(n.eid for n in ordered))
+        return self._intern(key, Union, ordered, nullable=any(n.nullable for n in ordered))
 
     def concat(self, r: Ere, s: Ere) -> Ere:
         if r is self._bottom or s is self._bottom:
@@ -219,24 +207,14 @@ class ExprBuilder:
                 s = self.concat(heads.pop(), s)
             return s
         key = ("cat", r.eid, s.eid)
-        led = self.and_led
-        return self._intern(
-            key,
-            Concat,
-            r,
-            s,
-            nullable=r.nullable and s.nullable,
-            and_led=r.eid in led or (r.nullable and s.eid in led),
-        )
+        return self._intern(key, Concat, r, s, nullable=r.nullable and s.nullable)
 
     def star(self, r: Ere) -> Ere:
         if isinstance(r, Star):
             return r
         if isinstance(r, Epsilon) or r is self._bottom:
             return self.epsilon()
-        return self._intern(
-            ("star", r.eid), Star, r, nullable=True, and_led=r.eid in self.and_led
-        )
+        return self._intern(("star", r.eid), Star, r, nullable=True)
 
     def and_(self, *parts: Ere) -> Ere:
         if not parts:
@@ -253,9 +231,7 @@ class ExprBuilder:
         if len(ordered) == 1:
             return ordered[0]
         key = ("and", tuple(n.eid for n in ordered))
-        return self._intern(
-            key, And, ordered, nullable=all(n.nullable for n in ordered), and_led=True
-        )
+        return self._intern(key, And, ordered, nullable=all(n.nullable for n in ordered))
 
     def not_(self, r: Ere) -> Ere:
         if isinstance(r, Not):

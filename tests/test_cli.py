@@ -192,6 +192,12 @@ def test_long_word_gets_a_verdict(capsys):
     ]
 
 
+def test_long_chain_of_nullable_heads_gets_a_verdict(capsys):
+    code, out, err = run(capsys, "check", "--alphabet", "bitset:ab", "a*" * 300, "a*")
+    assert code == 0 and not err
+    assert out == "HOLDS\n"
+
+
 def test_nesting_limit_exit_code(capsys):
     code, out, err = run(capsys, "check", "(" * 5000, "a")
     assert code == 2

@@ -223,6 +223,14 @@ def test_long_words_get_verdicts(n, letters, seed):
         assert membership(b, word, b.parse(pattern)) == expected, pattern
 
 
+def test_long_chain_of_nullable_heads_gets_a_verdict():
+    # the next literals of a concatenation whose heads are all nullable are
+    # found with a loop along the chain, not one recursion per factor
+    b = ExprBuilder(BitsetAlgebra("ab"))
+    verdict = Checker(b).check(b.parse("a*" * 300), b.parse("a*"))
+    assert verdict.holds
+
+
 # -- shortest word -----------------------------------------------------------------
 
 

@@ -14,7 +14,6 @@ from symre.nextlit import (
     next_literals,
     next_of_ineq,
     partition_union,
-    refined_literals,
 )
 from symre.syntax import And, Concat, ExprBuilder, Literal, Not, Star, Union, width
 
@@ -165,6 +164,13 @@ def test_next_of_intersection(b):
     assert next_literals(b, b.parse("[ab]c|a&b")) == _sets(alg, "a", "b")
 
 
+def test_next_of_long_nullable_chain(b):
+    # one loop along the chain of nullable heads, however long it is
+    r = b.parse("(a|())" * 250 + "b")
+    assert next_literals(b, r) == _sets(b.algebra, "a", "b")
+    assert next_literals(b, b.parse("a*" * 2000)) == _sets(b.algebra, "a")
+
+
 def test_next_ineq_pinned_forms(b):
     alg = b.algebra
     r, s = b.parse("(a|b)|c"), b.parse("a|b")
@@ -214,6 +220,19 @@ def _coverage(alg, r):
     return alg.bottom()
 
 
+def _brute_minterms(alg, r):
+    """Group the symbols by the leading literals they belong to; keep the
+    groups inside the coverage."""
+    lits = list(_leading_literals(r))
+    coverage = _coverage(alg, r)
+    groups = {}
+    for c in alg.symbols:
+        pattern = tuple(alg.contains(lit, c) for lit in lits)
+        groups.setdefault(pattern, []).append(c)
+    sets = (alg.from_chars(g) for g in groups.values())
+    return canonical_partition(alg, (s for s in sets if alg.is_subset(s, coverage)))
+
+
 def test_partition_invariants_on_random_expressions():
     alg = BitsetAlgebra("ab")
     b = ExprBuilder(alg)
@@ -236,6 +255,9 @@ def test_partition_invariants_on_random_expressions():
             for lit in _leading_literals(r):
                 overlap = alg.intersect(s, lit)
                 assert alg.is_empty(overlap) or overlap == s, (repr(r), str(s))
+        # and the members are exactly the minterms of the leading literals
+        # inside the coverage, so no class is split more finely than needed
+        assert part == _brute_minterms(alg, r), repr(r)
 
 
 def test_finiteness_bound_on_exponential_family():
@@ -262,7 +284,7 @@ def test_partition_memo_runs_each_combination_once(monkeypatch):
     # the unfolding meets a handful of distinct partitions at thousands of
     # pairs; each combination of two of them is computed once per builder
     runs = []
-    for name in ("join", "left_join", "meet"):
+    for name in ("join", "left_join", "meet", "minterms"):
         original = getattr(nextlit, name)
 
         def counting(alg, left, right, _name=name, _original=original):
@@ -291,7 +313,6 @@ def test_partition_memo_answers_as_a_fresh_builder():
         probes = classes + next_literals(b, s)
         return (
             next_literals(b, r),
-            refined_literals(b, r),
             classes,
             [refines_next(b, a, r) for a in probes],
             [refines_next(b, a, s) for a in probes],
