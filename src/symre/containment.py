@@ -4,11 +4,16 @@ A query unfolds the inequality pair by pair: a pair whose left side accepts
 the empty word while the right side does not is a refutation; a revisited
 pair closes a cycle and counts as proven; otherwise the pair is split along
 the next literals of the inequality and both sides are differentiated by
-each literal.  Termination follows from the finiteness of dissimilar
-iterated derivatives.  Four fast-path axioms (identity, empty left side,
-nullable right side for an epsilon left side, and empty right side against
-a non-empty left language) shortcut the unfolding; they never change a
-verdict, only the statistics.
+each literal.  The classes come from ``nextlit.pair_classes``, memoized per
+partition pair with each class's witness symbol, and checked there once to
+lie inside one next literal of each side or outside the right side's
+coverage.  So a branch costs two symbol derivatives by the witness, or one
+outside the right side's coverage, where that side's derivative is ``[]``.
+Termination follows from the finiteness of dissimilar iterated derivatives.
+Four fast-path axioms (identity, empty left side, nullable right side for
+an epsilon left side, and empty right side against a non-empty left
+language) shortcut the unfolding; they never change a verdict, only the
+statistics.
 
 Refutations carry a witness word built from the deterministic per-literal
 witness symbols along the failing path, so a reported witness is always a
@@ -21,8 +26,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union as TypingUnion
 
-from .derivative import deriv_literal, deriv_symbol, deriv_word
-from .nextlit import next_literals, next_of_ineq
+from .derivative import deriv_symbol, deriv_word
+from .nextlit import next_literals, pair_classes
 from .syntax import Epsilon, Ere, ExprBuilder, to_text
 
 DEFAULT_FUEL = 1 << 20
@@ -147,6 +152,7 @@ class Checker:
         """Decide whether the language of ``r`` is contained in ``s``."""
         b = self.builder
         alg = b.algebra
+        bottom = b.bottom()
         assumed: set[tuple[int, int]] = set()
         path: list = []  # witness symbols chosen along the current path
         state = _QueryState()
@@ -180,13 +186,13 @@ class Checker:
                 if lhs is rhs:
                     emit("prove-identity", lhs, rhs, None, depth)
                     return True, ()
-                if lhs is b.bottom():
+                if lhs is bottom:
                     emit("prove-empty", lhs, rhs, None, depth)
                     return True, ()
                 if isinstance(lhs, Epsilon) and rhs.nullable:
                     emit("prove-nullable", lhs, rhs, None, depth)
                     return True, ()
-                if rhs is b.bottom() and next_literals(b, lhs):
+                if rhs is bottom and next_literals(b, lhs):
                     tail = shortest_word(b, lhs, self.fuel)
                     if tail is not None:
                         emit("disprove-empty", lhs, rhs, None, depth)
@@ -196,14 +202,11 @@ class Checker:
                 return True, ()
             return None
 
-        def branches(lhs: Ere, rhs: Ere) -> list:
-            return list(next_of_ineq(b, lhs, rhs))
-
         outcome = terminal(r, s, 0)
         if outcome is not None:
             verdict, tail = outcome
             return Verdict(True, None, state.stats()) if verdict else fail(tail)
-        root_branches = branches(r, s)
+        root_branches = pair_classes(b, r, s)
         if not root_branches:
             emit("unfold", r, s, None, 0)
             return Verdict(True, None, state.stats())
@@ -222,11 +225,11 @@ class Checker:
                     path.pop()
                 continue
             frame[3] += 1
-            a_set = todo[idx]
+            a_set, a, _, j = todo[idx]
             emit("unfold", lhs, rhs, a_set, depth)
-            dl = deriv_literal(b, a_set, lhs)
-            dr = deriv_literal(b, a_set, rhs)
-            path.append(alg.pick_witness(a_set))
+            dl = deriv_symbol(b, a, lhs)
+            dr = deriv_symbol(b, a, rhs) if j >= 0 else bottom
+            path.append(a)
             outcome = terminal(dl, dr, depth + 1)
             if outcome is not None:
                 verdict, tail = outcome
@@ -234,7 +237,7 @@ class Checker:
                     return fail(tail)
                 path.pop()
                 continue
-            child_branches = branches(dl, dr)
+            child_branches = pair_classes(b, dl, dr)
             if not child_branches:
                 emit("unfold", dl, dr, None, depth + 1)
                 if self.global_memo:

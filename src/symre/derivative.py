@@ -8,6 +8,9 @@ their intersection, and the two operators swap places under complement.
 On a literal taken from an expression's next-literal partition they agree
 exactly, because such a literal refines every literal the operators reach
 (see ``nextlit``); that is what ``deriv_literal`` relies on.
+
+A symbol outside the algebra's universe is in no language, so every
+derivative by it is ``[]``, a complement's included.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .alphabet import Algebra, SymbolSet
-from .nextlit import Partition, _combine, next_literals
+from .nextlit import Partition, _combine, _holder, next_literals
 from .syntax import And, Concat, Epsilon, Ere, ExprBuilder, Literal, Not, Star, Union
 
 
@@ -37,17 +40,45 @@ def _deriv_symbol(b: ExprBuilder, a, r: Ere) -> Ere:
     if isinstance(r, Union):
         return b.union(*(deriv_symbol(b, a, m) for m in r.members))
     if isinstance(r, Concat):
-        head = b.concat(deriv_symbol(b, a, r.head), r.tail)
-        if r.head.nullable:
-            return b.union(head, deriv_symbol(b, a, r.tail))
-        return head
+        return _deriv_concat(b, a, r)
     if isinstance(r, Star):
         return b.concat(deriv_symbol(b, a, r.inner), r)
     if isinstance(r, And):
         return b.and_(*(deriv_symbol(b, a, m) for m in r.members))
     if isinstance(r, Not):
+        # Outside the universe every language misses ``a``, ``!`` included.
+        if not b.algebra.contains(b.algebra.top(), a):
+            return b.bottom()
         return b.not_(deriv_symbol(b, a, r.inner))
     raise TypeError(r)
+
+
+def _deriv_concat(b: ExprBuilder, a, r: Concat) -> Ere:
+    """``d(head)·tail``, joined by ``|`` with ``d(tail)`` when the head is
+    nullable.
+
+    A loop down the chain of nullable heads, so a long chain costs no
+    recursion.  It builds and memoizes the same nodes, in the same order, as
+    the recursive definition, so eids and traces do not depend on it.
+    """
+    cache = b.deriv_cache
+    chain = []  # the nodes with a nullable head, outermost first, and d(head)·tail
+    while True:
+        step = b.concat(deriv_symbol(b, a, r.head), r.tail)
+        if not r.head.nullable:
+            out = cache[("sym", a, r.eid)] = step
+            break
+        chain.append((r, step))
+        r = r.tail
+        out = cache.get(("sym", a, r.eid))
+        if out is not None:
+            break
+        if not isinstance(r, Concat):
+            out = deriv_symbol(b, a, r)
+            break
+    for node, step in reversed(chain):
+        out = cache[("sym", a, node.eid)] = b.union(step, out)
+    return out
 
 
 def pos_deriv(b: ExprBuilder, a_set: SymbolSet, r: Ere) -> Ere:
@@ -111,8 +142,10 @@ def deriv_literal(b: ExprBuilder, a_set: SymbolSet, r: Ere) -> Ere:
     set-level derivatives.  On a literal that misses every member it need
     not: by ``.`` over ``ab``, every symbol derivative of ``a&b`` is ``[]``
     but the positive derivative is ``()``.  The refinement
-    precondition is the caller's obligation and is only verified when
-    assertions are enabled.
+    precondition is the caller's obligation and is verified on every call
+    when assertions are enabled.  The checker does not call this: it reads
+    each class's witness from ``nextlit.pair_classes``, which checks the
+    same precondition once per partition pair.
     """
     if b.algebra.is_empty(a_set):
         raise ValueError("cannot take a derivative by the empty literal")
@@ -133,10 +166,8 @@ def refines_next(b: ExprBuilder, a_set: SymbolSet, r: Ere) -> bool:
 
 
 def _refines(alg: Algebra, a_set: SymbolSet, part: Partition) -> bool:
-    for member in part:
-        if not alg.is_empty(alg.intersect(a_set, member)):
-            return alg.is_subset(a_set, member)
-    return True
+    k = _holder(alg, a_set, part)
+    return k < 0 or alg.is_subset(a_set, part[k])
 
 
 def deriv_word(b: ExprBuilder, word: Iterable, r: Ere) -> Ere:

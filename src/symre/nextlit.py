@@ -22,15 +22,16 @@ Both are found by one walk that loops down concatenations and stars, so a
 long concatenation costs no recursion, and are memoized per node
 (``ExprBuilder.lead_cache``), except at a star or a concatenation whose
 head is not nullable: those have the leading literals and coverage of the
-node below them.  The minterms, and the classes of an
-inequality, are pure functions of a few symbol sets, and the unfolding
-meets only a handful of distinct arguments while it visits thousands of
-pairs.  They therefore go through ``_combine``, which memoizes the result
-per builder (``ExprBuilder.partition_cache``) keyed by the operation and
-its two arguments by value.  Symbol sets compare equal only within one
-algebra instance, so a set from another algebra never hits an entry and is
-still rejected by the operation itself.  The public combinators ``join``,
-``left_join`` and ``meet`` stay pure and unmemoized.
+node below them.  The minterms, and the classes of an inequality with
+their witnesses (``pair_classes``), are pure functions of a few symbol
+sets, and the unfolding meets only a handful of distinct arguments while
+it visits thousands of pairs.  They therefore go through ``_combine``,
+which memoizes the result per builder (``ExprBuilder.partition_cache``)
+keyed by the operation and its two arguments by value.  Symbol sets
+compare equal only within one algebra instance, so a set from another
+algebra never hits an entry and is still rejected by the operation itself.
+The public combinators ``join``, ``left_join`` and ``meet`` stay pure and
+unmemoized.
 """
 
 from __future__ import annotations
@@ -60,20 +61,22 @@ def partition_union(alg: Algebra, parts: Partition) -> SymbolSet:
 
 def join(alg: Algebra, left: Partition, right: Partition) -> Partition:
     """Common refinement covering the union of both sides."""
-    outside_right = alg.complement(partition_union(alg, right))
     outside_left = alg.complement(partition_union(alg, left))
-    pieces = [alg.intersect(a, b) for a in left for b in right]
-    pieces.extend(alg.intersect(a, outside_right) for a in left)
+    pieces = _left_pieces(alg, left, right)
     pieces.extend(alg.intersect(outside_left, b) for b in right)
     return canonical_partition(alg, pieces)
 
 
 def left_join(alg: Algebra, left: Partition, right: Partition) -> Partition:
     """Refinement covering exactly the union of the left side."""
+    return canonical_partition(alg, _left_pieces(alg, left, right))
+
+
+def _left_pieces(alg: Algebra, left: Partition, right: Partition) -> list[SymbolSet]:
     outside_right = alg.complement(partition_union(alg, right))
     pieces = [alg.intersect(a, b) for a in left for b in right]
     pieces.extend(alg.intersect(a, outside_right) for a in left)
-    return canonical_partition(alg, pieces)
+    return pieces
 
 
 def meet(alg: Algebra, left: Partition, right: Partition) -> Partition:
@@ -174,8 +177,45 @@ def next_of_ineq(b: ExprBuilder, r: Ere, s: Ere) -> Partition:
 
     The classes split ``r``'s coverage by ``s``'s partition only.  A class
     outside ``s``'s coverage may therefore straddle a leading literal of
-    ``s`` that an ``&`` in ``s`` leaves out of the coverage, and the set
-    derivatives of ``s`` by it may differ.  The checker only takes symbol derivatives by each class's
-    witness, so no verdict depends on this.
+    ``s`` that an ``&`` in ``s`` leaves out of the coverage, so the set
+    derivatives of ``s`` by it may differ.  No set derivative is ever taken
+    on such a class: every symbol derivative of ``s`` there is ``[]``, and
+    the checker uses ``[]`` without deriving (see ``pair_classes``).
     """
     return _combine(b, left_join, next_literals(b, r), next_literals(b, s))
+
+
+Branch = tuple[SymbolSet, object, int, int]
+
+
+def pair_classes(b: ExprBuilder, r: Ere, s: Ere) -> tuple[Branch, ...]:
+    """The classes of ``next_of_ineq(b, r, s)``, in order, with what the
+    unfolding needs of each (see ``witnessed_left_join``)."""
+    return _combine(b, witnessed_left_join, next_literals(b, r), next_literals(b, s))
+
+
+def witnessed_left_join(alg: Algebra, left: Partition, right: Partition) -> tuple[Branch, ...]:
+    """Each class of ``left_join(alg, left, right)`` as ``(class, witness, i, j)``.
+
+    ``left[i]`` holds the class, and so does ``right[j]``, or ``j`` is -1
+    when the class misses ``right``'s coverage.  On next-literal partitions
+    a symbol derivative by the witness is thus the derivative by every
+    symbol of the class, on both sides, and outside the coverage it is
+    ``[]``.  That refinement is asserted here, once per partition pair.
+    """
+    out = []
+    for c in canonical_partition(alg, _left_pieces(alg, left, right)):
+        i, j = _holder(alg, c, left), _holder(alg, c, right)
+        assert i >= 0 and alg.is_subset(c, left[i]) and (j < 0 or alg.is_subset(c, right[j])), (
+            f"class {alg.format_set(c)} does not refine the partitions it splits"
+        )
+        out.append((c, alg.pick_witness(c), i, j))
+    return tuple(out)
+
+
+def _holder(alg: Algebra, c: SymbolSet, part: Partition) -> int:
+    """The index of the first member of ``part`` that meets ``c``, or -1."""
+    for k, member in enumerate(part):
+        if not alg.is_empty(alg.intersect(c, member)):
+            return k
+    return -1

@@ -168,25 +168,28 @@ class ExprBuilder:
         return self.star(self.literal(self.algebra.top()))
 
     def union(self, *parts: Ere) -> Ere:
-        alg = self.algebra
-        flat: list[Ere] = []
-        for p in parts:
-            flat.extend(p.members if isinstance(p, Union) else (p,))
-        litset = alg.bottom()
+        # One pass flattens, merges the literals and collects the members.
+        # The bottom ``[]`` is dropped, and a lone literal is kept as it is.
+        bottom = self._bottom
+        lit: Optional[Ere] = None  # the literal member, once it is interned
+        litset: Optional[SymbolSet] = None  # the merged literal's symbols
         members: dict[int, Ere] = {}
-        for p in flat:
-            if isinstance(p, Literal):
-                litset = alg.union(litset, p.symbols)
-            else:
-                members[p.eid] = p
-        if not alg.is_empty(litset) or not members:
-            lit = self.literal(litset)
+        for p in parts:
+            for m in p.members if type(p) is Union else (p,):
+                if type(m) is not Literal:
+                    members[m.eid] = m
+                elif m is not bottom and m is not lit:
+                    if litset is None:
+                        lit, litset = m, m.symbols
+                    else:
+                        lit, litset = None, self.algebra.union(litset, m.symbols)
+        if litset is not None:
+            if lit is None:
+                lit = self.literal(litset)
             members[lit.eid] = lit
-        ordered = tuple(sorted(members.values(), key=lambda n: n.eid))
-        if len(ordered) == 1:
-            return ordered[0]
-        key = ("union", tuple(n.eid for n in ordered))
-        return self._intern(key, Union, ordered, nullable=any(n.nullable for n in ordered))
+        elif not members:
+            return bottom
+        return self._intern_members("union", Union, members, any)
 
     def concat(self, r: Ere, s: Ere) -> Ere:
         if r is self._bottom or s is self._bottom:
@@ -219,19 +222,26 @@ class ExprBuilder:
     def and_(self, *parts: Ere) -> Ere:
         if not parts:
             raise TypeError("and_() needs at least one operand")
-        flat: list[Ere] = []
-        for p in parts:
-            flat.extend(p.members if isinstance(p, And) else (p,))
+        bottom = self._bottom
         members: dict[int, Ere] = {}
-        for p in flat:
-            if p is self._bottom:
-                return self._bottom
-            members[p.eid] = p
-        ordered = tuple(sorted(members.values(), key=lambda n: n.eid))
-        if len(ordered) == 1:
-            return ordered[0]
-        key = ("and", tuple(n.eid for n in ordered))
-        return self._intern(key, And, ordered, nullable=all(n.nullable for n in ordered))
+        for p in parts:
+            for m in p.members if type(p) is And else (p,):
+                if m is bottom:
+                    return bottom
+                members[m.eid] = m
+        return self._intern_members("and", And, members, all)
+
+    def _intern_members(self, tag: str, ctor: Callable, members: dict, nullable: Callable) -> Ere:
+        """The n-ary node of ``members`` (by eid), or their one member."""
+        eids = sorted(members)
+        if len(eids) == 1:
+            return members[eids[0]]
+        key = (tag, tuple(eids))
+        node = self._table.get(key)
+        if node is None:
+            ordered = tuple([members[e] for e in eids])
+            node = self._intern(key, ctor, ordered, nullable=nullable(m.nullable for m in ordered))
+        return node
 
     def not_(self, r: Ere) -> Ere:
         if isinstance(r, Not):

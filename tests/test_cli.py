@@ -66,6 +66,13 @@ def test_match(capsys):
     assert code == 0
 
 
+def test_match_outside_the_universe(capsys):
+    # a symbol outside the alphabet is in no language, a complement's included
+    for extra in ([], ["--oracle-check"]):
+        code, out, _ = run(capsys, "match", "--alphabet", "bitset:ab", *extra, "z", "!a")
+        assert code == 1 and out == "NO-MATCH\n"
+
+
 # -- derive / next ------------------------------------------------------------------
 
 
@@ -196,6 +203,13 @@ def test_long_chain_of_nullable_heads_gets_a_verdict(capsys):
     code, out, err = run(capsys, "check", "--alphabet", "bitset:ab", "a*" * 300, "a*")
     assert code == 0 and not err
     assert out == "HOLDS\n"
+
+
+def test_longer_chains_of_nullable_heads_get_verdicts(capsys):
+    code, out, err = run(capsys, "check", "--alphabet", "bitset:ab", "a*" * 600, "a*")
+    assert code == 0 and not err and out == "HOLDS\n"
+    code, out, err = run(capsys, "check", "--alphabet", "bitset:ab", "(a|())" * 500 + "b", "[]")
+    assert code == 1 and not err and out == "FAILS witness=b\n"
 
 
 def test_nesting_limit_exit_code(capsys):

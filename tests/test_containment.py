@@ -13,6 +13,7 @@ from symre.containment import (
     replay_trace,
     shortest_word,
 )
+from symre.derivative import deriv_symbol
 from symre.oracle import SliceOracle
 from symre.syntax import ExprBuilder
 
@@ -229,6 +230,27 @@ def test_long_chain_of_nullable_heads_gets_a_verdict():
     b = ExprBuilder(BitsetAlgebra("ab"))
     verdict = Checker(b).check(b.parse("a*" * 300), b.parse("a*"))
     assert verdict.holds
+
+
+def test_long_chains_of_nullable_heads_get_answers():
+    # the symbol derivative loops down the chain too, so neither the
+    # unfolding nor the emptiness search recurses once per factor
+    b = ExprBuilder(BitsetAlgebra("ab"))
+    verdict = Checker(b).check(b.parse("a*" * 600), b.parse("a*"))
+    assert verdict.holds and verdict.stats.visited == 3
+    assert shortest_word(b, b.parse("(a|())" * 500 + "b")) == ("b",)
+
+
+@pytest.mark.parametrize(
+    "alg", [BitsetAlgebra("ab"), IntervalAlgebra(ord("a"), ord("c"))], ids=["bitset", "interval"]
+)
+def test_symbols_outside_the_universe_are_in_no_language(alg):
+    b = ExprBuilder(alg)
+    for text in ("!a", "!(b*)&!a", ".*", "a*|!b"):
+        r = b.parse(text)
+        assert deriv_symbol(b, "z", r) is b.bottom(), text
+        assert not membership(b, "z", r), text
+        assert not membership(b, "zz", r), text
 
 
 # -- shortest word -----------------------------------------------------------------

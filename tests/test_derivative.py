@@ -13,7 +13,7 @@ from symre.derivative import (
 )
 from symre.nextlit import next_literals, partition_union
 from symre.oracle import SliceOracle
-from symre.syntax import ExprBuilder, to_text
+from symre.syntax import And, Concat, ExprBuilder, Not, Star, Union, to_text
 
 from exprgen import random_raw, random_set
 
@@ -131,6 +131,54 @@ def test_refinement_check_fires_on_every_call(b):
     for _ in range(2):
         with pytest.raises(AssertionError):
             deriv_literal(b, ac, r)
+
+
+def _recursive_deriv(b, a, r, memo):
+    """The symbol derivative as the recursive textbook definition."""
+    key = (a, r.eid)
+    if key not in memo:
+        if isinstance(r, Concat):
+            head = b.concat(_recursive_deriv(b, a, r.head, memo), r.tail)
+            if r.head.nullable:
+                head = b.union(head, _recursive_deriv(b, a, r.tail, memo))
+            memo[key] = head
+        elif isinstance(r, (Union, And)):
+            parts = (_recursive_deriv(b, a, m, memo) for m in r.members)
+            memo[key] = b.union(*parts) if isinstance(r, Union) else b.and_(*parts)
+        elif isinstance(r, Star):
+            memo[key] = b.concat(_recursive_deriv(b, a, r.inner, memo), r)
+        elif isinstance(r, Not):
+            memo[key] = b.not_(_recursive_deriv(b, a, r.inner, memo))
+        else:
+            memo[key] = deriv_symbol(b, a, r)
+    return memo[key]
+
+
+def test_symbol_derivative_interns_as_the_recursion_does(two):
+    # the loop down a concatenation builds the same nodes in the same order
+    # as the recursion, so eids, and the traces that print them, stay put
+    rng = random.Random(23)
+    raws = [random_raw(rng, two.algebra, 12) for _ in range(300)]
+    looped, recursive, memo = two, ExprBuilder(two.algebra), {}
+    for raw in raws:
+        todo = [(looped.build(raw), recursive.build(raw))]
+        for _ in range(3):
+            todo = [
+                (deriv_symbol(looped, a, r), _recursive_deriv(recursive, a, s, memo))
+                for r, s in todo
+                for a in "ab"
+            ]
+            for r, s in todo:
+                assert (r.eid, to_text(r)) == (s.eid, to_text(s))
+        assert len(looped._table) == len(recursive._table)
+
+
+def test_symbol_derivative_of_a_long_nullable_chain(two):
+    chain = [two.char("b")]
+    for _ in range(500):
+        chain.append(two.concat(two.parse("a|()"), chain[-1]))
+    assert deriv_symbol(two, "a", chain[-1]) is two.union(*chain[:-1])
+    assert deriv_symbol(two, "b", chain[-1]) is two.epsilon()
 
 
 # -- word derivative ---------------------------------------------------------------

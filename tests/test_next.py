@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from symre import nextlit
+from symre import containment, derivative, nextlit
 from symre.alphabet import AlgebraError, BitsetAlgebra
 from symre.containment import Checker
-from symre.derivative import refines_next
+from symre.derivative import deriv_symbol, refines_next
 from symre.nextlit import (
     canonical_partition,
     join,
@@ -13,6 +13,7 @@ from symre.nextlit import (
     meet,
     next_literals,
     next_of_ineq,
+    pair_classes,
     partition_union,
 )
 from symre.syntax import And, Concat, ExprBuilder, Literal, Not, Star, Union, width
@@ -233,12 +234,15 @@ def _brute_minterms(alg, r):
     return canonical_partition(alg, (s for s in sets if alg.is_subset(s, coverage)))
 
 
+def _random_expressions(b):
+    rng = random.Random(33)
+    return [b.build(random_raw(rng, b.algebra, 9)) for _ in range(500)]
+
+
 def test_partition_invariants_on_random_expressions():
     alg = BitsetAlgebra("ab")
     b = ExprBuilder(alg)
-    rng = random.Random(33)
-    for _ in range(500):
-        r = b.build(random_raw(rng, alg, 9))
+    for r in _random_expressions(b):
         part = next_literals(b, r)
         for s in part:
             assert not alg.is_empty(s)
@@ -258,6 +262,24 @@ def test_partition_invariants_on_random_expressions():
         # and the members are exactly the minterms of the leading literals
         # inside the coverage, so no class is split more finely than needed
         assert part == _brute_minterms(alg, r), repr(r)
+
+
+def test_pair_classes_carry_witnesses_and_holders():
+    alg = BitsetAlgebra("ab")
+    b = ExprBuilder(alg)
+    exprs = _random_expressions(b)
+    for r, s in list(zip(exprs, exprs[1:])) + list(zip(exprs[1:], exprs)):
+        branches = pair_classes(b, r, s)
+        assert tuple(c for c, _, _, _ in branches) == next_of_ineq(b, r, s)
+        left, right = next_literals(b, r), next_literals(b, s)
+        for c, w, i, j in branches:
+            assert w == alg.pick_witness(c)
+            assert alg.is_subset(c, left[i])
+            if j >= 0:
+                assert alg.is_subset(c, right[j])
+            else:
+                assert alg.is_empty(alg.intersect(c, partition_union(alg, right)))
+                assert deriv_symbol(b, w, s) is b.bottom(), (repr(r), repr(s))
 
 
 def test_finiteness_bound_on_exponential_family():
@@ -284,7 +306,7 @@ def test_partition_memo_runs_each_combination_once(monkeypatch):
     # the unfolding meets a handful of distinct partitions at thousands of
     # pairs; each combination of two of them is computed once per builder
     runs = []
-    for name in ("join", "left_join", "meet", "minterms"):
+    for name in ("join", "left_join", "meet", "minterms", "witnessed_left_join"):
         original = getattr(nextlit, name)
 
         def counting(alg, left, right, _name=name, _original=original):
@@ -301,6 +323,44 @@ def test_partition_memo_runs_each_combination_once(monkeypatch):
     assert len(runs) <= 20
 
 
+def test_unfolding_branch_takes_two_symbol_derivatives(monkeypatch):
+    # a branch reads its witness from the memoized pair classes: no
+    # refinement check and no witness search per branch
+    alg = BitsetAlgebra("ab")
+    calls = []
+    inside = []  # open memoized partition operations
+    for name in ("deriv_literal", "refines_next"):
+        def counting(*args, _name=name, _original=getattr(derivative, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        for m in (derivative, containment):
+            monkeypatch.setattr(m, name, counting, raising=False)
+    for name in ("minterms", "witnessed_left_join"):
+        def scoped(*args, _original=getattr(nextlit, name)):
+            inside.append(True)
+            try:
+                return _original(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(nextlit, name, scoped)
+    pick_witness = alg.pick_witness
+
+    def counting_witness(a_set):
+        if not inside:
+            calls.append("pick_witness")
+        return pick_witness(a_set)
+
+    monkeypatch.setattr(alg, "pick_witness", counting_witness)
+    b = ExprBuilder(alg)
+    r = b.parse("(a|b)*a" + "(a|b)" * 9)
+    s = b.union(r, b.parse("(a|b)*b" + "(a|b)" * 9))
+    verdict = Checker(b).check(r, s)
+    assert verdict.holds and verdict.stats.visited == 4095
+    assert calls == []
+
+
 def test_partition_memo_answers_as_a_fresh_builder():
     alg = BitsetAlgebra("abc")
     rng = random.Random(46)
@@ -314,6 +374,7 @@ def test_partition_memo_answers_as_a_fresh_builder():
         return (
             next_literals(b, r),
             classes,
+            pair_classes(b, r, s),
             [refines_next(b, a, r) for a in probes],
             [refines_next(b, a, s) for a in probes],
         )
