@@ -154,7 +154,8 @@ class Checker:
         alg = b.algebra
         bottom = b.bottom()
         assumed: set[tuple[int, int]] = set()
-        path: list = []  # witness symbols chosen along the current path
+        path: list = []  # witness symbols along the current path, cut to a frame's depth
+        frames: list[list] = []  # [lhs, rhs, branches, next branch] per unfolded pair
         state = _QueryState()
 
         def emit(rule: str, lhs: Ere, rhs: Ere, literal, depth: int) -> None:
@@ -173,47 +174,51 @@ class Checker:
             word = alg.word_of(tuple(path) + tuple(tail))
             return Verdict(False, word, state.stats())
 
-        def terminal(lhs: Ere, rhs: Ere, depth: int):
-            """Disprove, axioms, and cycle detection; None means unfold."""
+        def visit(lhs: Ere, rhs: Ere, depth: int) -> Optional[tuple]:
+            """Answer the pair or push its frame.
+
+            Disprove, the axioms and cycle detection answer a pair; otherwise
+            it is unfolded.  Returns the witness tail of a refutation, else
+            None.
+            """
             state.visited += 1
             state.max_depth = max(state.max_depth, depth)
             if state.visited > self.fuel:
                 raise FuelExhausted(state.visited, state.max_depth)
             if lhs.nullable and not rhs.nullable:
                 emit("disprove", lhs, rhs, None, depth)
-                return False, ()
+                return ()
             if self.use_axioms:
                 if lhs is rhs:
                     emit("prove-identity", lhs, rhs, None, depth)
-                    return True, ()
+                    return None
                 if lhs is bottom:
                     emit("prove-empty", lhs, rhs, None, depth)
-                    return True, ()
+                    return None
                 if isinstance(lhs, Epsilon) and rhs.nullable:
                     emit("prove-nullable", lhs, rhs, None, depth)
-                    return True, ()
+                    return None
                 if rhs is bottom and next_literals(b, lhs):
                     tail = shortest_word(b, lhs, self.fuel)
                     if tail is not None:
                         emit("disprove-empty", lhs, rhs, None, depth)
-                        return False, tail
-            if (lhs.eid, rhs.eid) in assumed:
+                        return tail
+            pair = (lhs.eid, rhs.eid)
+            if pair in assumed:
                 emit("cycle", lhs, rhs, None, depth)
-                return True, ()
+                return None
+            branches = pair_classes(b, lhs, rhs)
+            if not branches:
+                emit("unfold", lhs, rhs, None, depth)
+                if self.global_memo:
+                    assumed.add(pair)
+                return None
+            assumed.add(pair)
+            frames.append([lhs, rhs, branches, 0])
             return None
 
-        outcome = terminal(r, s, 0)
-        if outcome is not None:
-            verdict, tail = outcome
-            return Verdict(True, None, state.stats()) if verdict else fail(tail)
-        root_branches = pair_classes(b, r, s)
-        if not root_branches:
-            emit("unfold", r, s, None, 0)
-            return Verdict(True, None, state.stats())
-        assumed.add((r.eid, s.eid))
-        frames: list[list] = [[r, s, root_branches, 0]]
-
-        while frames:
+        tail = visit(r, s, 0)
+        while frames and tail is None:
             frame = frames[-1]
             lhs, rhs, todo, idx = frame
             depth = len(frames) - 1
@@ -221,33 +226,17 @@ class Checker:
                 frames.pop()
                 if not self.global_memo:
                     assumed.discard((lhs.eid, rhs.eid))
-                if frames:
-                    path.pop()
                 continue
             frame[3] += 1
             a_set, a, _, j = todo[idx]
             emit("unfold", lhs, rhs, a_set, depth)
+            del path[depth:]
+            path.append(a)
             dl = deriv_symbol(b, a, lhs)
             dr = deriv_symbol(b, a, rhs) if j >= 0 else bottom
-            path.append(a)
-            outcome = terminal(dl, dr, depth + 1)
-            if outcome is not None:
-                verdict, tail = outcome
-                if not verdict:
-                    return fail(tail)
-                path.pop()
-                continue
-            child_branches = pair_classes(b, dl, dr)
-            if not child_branches:
-                emit("unfold", dl, dr, None, depth + 1)
-                if self.global_memo:
-                    assumed.add((dl.eid, dr.eid))
-                path.pop()
-                continue
-            assumed.add((dl.eid, dr.eid))
-            frames.append([dl, dr, child_branches, 0])
+            tail = visit(dl, dr, depth + 1)
 
-        return Verdict(True, None, state.stats())
+        return Verdict(True, None, state.stats()) if tail is None else fail(tail)
 
     def equivalent(self, r: Ere, s: Ere) -> Verdict:
         """Decide language equality as containment in both directions.

@@ -9,6 +9,12 @@ On a literal taken from an expression's next-literal partition they agree
 exactly, because such a literal refines every literal the operators reach
 (see ``nextlit``); that is what ``deriv_literal`` relies on.
 
+All three are one memoized walker over a probe: ``"sym"`` with a symbol,
+``"pos"`` or ``"neg"`` with a non-empty set.  The probes differ only at a
+literal, where each tests the literal its own way, and at ``!``, where
+``"pos"`` and ``"neg"`` swap.  No probe recurses along a concatenation, so
+a long chain of nullable heads costs no recursion depth.
+
 A symbol outside the algebra's universe is in no language, so every
 derivative by it is ``[]``, a complement's included.
 """
@@ -21,39 +27,75 @@ from .alphabet import Algebra, SymbolSet
 from .nextlit import Partition, _combine, _holder, next_literals
 from .syntax import And, Concat, Epsilon, Ere, ExprBuilder, Literal, Not, Star, Union
 
+_FLIP = {"pos": "neg", "neg": "pos"}
+
 
 def deriv_symbol(b: ExprBuilder, a, r: Ere) -> Ere:
     """The derivative of ``r`` by the single symbol ``a``, normalized."""
+    # The memo is probed here rather than through ``_deriv``: the unfolding
+    # calls this twice per branch, mostly on memoized nodes.
     key = ("sym", a, r.eid)
     out = b.deriv_cache.get(key)
     if out is None:
-        out = _deriv_symbol(b, a, r)
-        b.deriv_cache[key] = out
+        out = b.deriv_cache[key] = _step(b, "sym", a, r)
     return out
 
 
-def _deriv_symbol(b: ExprBuilder, a, r: Ere) -> Ere:
+def pos_deriv(b: ExprBuilder, a_set: SymbolSet, r: Ere) -> Ere:
+    """Positive derivative: covers every symbol derivative over ``a_set``."""
+    if b.algebra.is_empty(a_set):
+        return b.bottom()
+    return _deriv(b, "pos", a_set, r)
+
+
+def neg_deriv(b: ExprBuilder, a_set: SymbolSet, r: Ere) -> Ere:
+    """Negative derivative: contained in every symbol derivative over ``a_set``."""
+    if b.algebra.is_empty(a_set):
+        return b.sigma_star()
+    return _deriv(b, "neg", a_set, r)
+
+
+def _deriv(b: ExprBuilder, kind: str, x, r: Ere) -> Ere:
+    """The derivative of ``r`` by the probe ``(kind, x)``, memoized in
+    ``b.deriv_cache`` under ``(kind, x, r.eid)``."""
+    key = (kind, x, r.eid)
+    out = b.deriv_cache.get(key)
+    if out is None:
+        out = b.deriv_cache[key] = _step(b, kind, x, r)
+    return out
+
+
+def _step(b: ExprBuilder, kind: str, x, r: Ere) -> Ere:
     if isinstance(r, Epsilon):
         return b.bottom()
     if isinstance(r, Literal):
-        return b.epsilon() if b.algebra.contains(r.symbols, a) else b.bottom()
+        alg = b.algebra
+        if kind == "sym":
+            hit = alg.contains(r.symbols, x)
+        elif kind == "pos":
+            hit = not alg.is_empty(alg.intersect(x, r.symbols))
+        else:
+            hit = alg.is_empty(alg.intersect(x, alg.complement(r.symbols)))
+        return b.epsilon() if hit else b.bottom()
     if isinstance(r, Union):
-        return b.union(*(deriv_symbol(b, a, m) for m in r.members))
+        return b.union(*(_deriv(b, kind, x, m) for m in r.members))
     if isinstance(r, Concat):
-        return _deriv_concat(b, a, r)
+        return _deriv_concat(b, kind, x, r)
     if isinstance(r, Star):
-        return b.concat(deriv_symbol(b, a, r.inner), r)
+        return b.concat(_deriv(b, kind, x, r.inner), r)
     if isinstance(r, And):
-        return b.and_(*(deriv_symbol(b, a, m) for m in r.members))
+        return b.and_(*(_deriv(b, kind, x, m) for m in r.members))
     if isinstance(r, Not):
-        # Outside the universe every language misses ``a``, ``!`` included.
-        if not b.algebra.contains(b.algebra.top(), a):
+        if kind != "sym":
+            return b.not_(_deriv(b, _FLIP[kind], x, r.inner))
+        # Outside the universe every language misses ``x``, ``!`` included.
+        if not b.algebra.contains(b.algebra.top(), x):
             return b.bottom()
-        return b.not_(deriv_symbol(b, a, r.inner))
+        return b.not_(_deriv(b, kind, x, r.inner))
     raise TypeError(r)
 
 
-def _deriv_concat(b: ExprBuilder, a, r: Concat) -> Ere:
+def _deriv_concat(b: ExprBuilder, kind: str, x, r: Concat) -> Ere:
     """``d(head)·tail``, joined by ``|`` with ``d(tail)`` when the head is
     nullable.
 
@@ -64,73 +106,21 @@ def _deriv_concat(b: ExprBuilder, a, r: Concat) -> Ere:
     cache = b.deriv_cache
     chain = []  # the nodes with a nullable head, outermost first, and d(head)·tail
     while True:
-        step = b.concat(deriv_symbol(b, a, r.head), r.tail)
+        step = b.concat(_deriv(b, kind, x, r.head), r.tail)
         if not r.head.nullable:
-            out = cache[("sym", a, r.eid)] = step
+            out = cache[(kind, x, r.eid)] = step
             break
         chain.append((r, step))
         r = r.tail
-        out = cache.get(("sym", a, r.eid))
+        out = cache.get((kind, x, r.eid))
         if out is not None:
             break
         if not isinstance(r, Concat):
-            out = deriv_symbol(b, a, r)
+            out = _deriv(b, kind, x, r)
             break
     for node, step in reversed(chain):
-        out = cache[("sym", a, node.eid)] = b.union(step, out)
+        out = cache[(kind, x, node.eid)] = b.union(step, out)
     return out
-
-
-def pos_deriv(b: ExprBuilder, a_set: SymbolSet, r: Ere) -> Ere:
-    """Positive derivative: covers every symbol derivative over ``a_set``."""
-    if b.algebra.is_empty(a_set):
-        return b.bottom()
-    key = ("pos", a_set, r.eid)
-    out = b.deriv_cache.get(key)
-    if out is None:
-        out = _set_deriv(b, a_set, r, positive=True)
-        b.deriv_cache[key] = out
-    return out
-
-
-def neg_deriv(b: ExprBuilder, a_set: SymbolSet, r: Ere) -> Ere:
-    """Negative derivative: contained in every symbol derivative over ``a_set``."""
-    if b.algebra.is_empty(a_set):
-        return b.sigma_star()
-    key = ("neg", a_set, r.eid)
-    out = b.deriv_cache.get(key)
-    if out is None:
-        out = _set_deriv(b, a_set, r, positive=False)
-        b.deriv_cache[key] = out
-    return out
-
-
-def _set_deriv(b: ExprBuilder, a_set: SymbolSet, r: Ere, positive: bool) -> Ere:
-    alg = b.algebra
-    same = pos_deriv if positive else neg_deriv
-    flip = neg_deriv if positive else pos_deriv
-    if isinstance(r, Epsilon):
-        return b.bottom()
-    if isinstance(r, Literal):
-        if positive:
-            hit = not alg.is_empty(alg.intersect(a_set, r.symbols))
-        else:
-            hit = alg.is_empty(alg.intersect(a_set, alg.complement(r.symbols)))
-        return b.epsilon() if hit else b.bottom()
-    if isinstance(r, Union):
-        return b.union(*(same(b, a_set, m) for m in r.members))
-    if isinstance(r, Concat):
-        head = b.concat(same(b, a_set, r.head), r.tail)
-        if r.head.nullable:
-            return b.union(head, same(b, a_set, r.tail))
-        return head
-    if isinstance(r, Star):
-        return b.concat(same(b, a_set, r.inner), r)
-    if isinstance(r, And):
-        return b.and_(*(same(b, a_set, m) for m in r.members))
-    if isinstance(r, Not):
-        return b.not_(flip(b, a_set, r.inner))
-    raise TypeError(r)
 
 
 def deriv_literal(b: ExprBuilder, a_set: SymbolSet, r: Ere) -> Ere:

@@ -173,7 +173,9 @@ def _merge(cover: Callable, parts) -> tuple[tuple[SymbolSet, ...], SymbolSet]:
 
 
 def next_of_ineq(b: ExprBuilder, r: Ere, s: Ere) -> Partition:
-    """Next literals of the inequality ``r`` contained-in ``s``.
+    """Next literals of the inequality ``r`` contained-in ``s``: the classes
+    of ``pair_classes(b, r, s)``, which hold ``left_join`` of the two sides'
+    partitions.
 
     The classes split ``r``'s coverage by ``s``'s partition only.  A class
     outside ``s``'s coverage may therefore straddle a leading literal of
@@ -182,15 +184,15 @@ def next_of_ineq(b: ExprBuilder, r: Ere, s: Ere) -> Partition:
     on such a class: every symbol derivative of ``s`` there is ``[]``, and
     the checker uses ``[]`` without deriving (see ``pair_classes``).
     """
-    return _combine(b, left_join, next_literals(b, r), next_literals(b, s))
+    return tuple(c for c, _, _, _ in pair_classes(b, r, s))
 
 
 Branch = tuple[SymbolSet, object, int, int]
 
 
 def pair_classes(b: ExprBuilder, r: Ere, s: Ere) -> tuple[Branch, ...]:
-    """The classes of ``next_of_ineq(b, r, s)``, in order, with what the
-    unfolding needs of each (see ``witnessed_left_join``)."""
+    """The classes of the inequality ``r`` contained-in ``s``, in order,
+    with what the unfolding needs of each (see ``witnessed_left_join``)."""
     return _combine(b, witnessed_left_join, next_literals(b, r), next_literals(b, s))
 
 

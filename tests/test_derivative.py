@@ -13,7 +13,7 @@ from symre.derivative import (
 )
 from symre.nextlit import next_literals, partition_union
 from symre.oracle import SliceOracle
-from symre.syntax import And, Concat, ExprBuilder, Not, Star, Union, to_text
+from symre.syntax import And, Concat, ExprBuilder, Literal, Not, Star, Union, to_text
 
 from exprgen import random_raw, random_set
 
@@ -133,52 +133,82 @@ def test_refinement_check_fires_on_every_call(b):
             deriv_literal(b, ac, r)
 
 
-def _recursive_deriv(b, a, r, memo):
-    """The symbol derivative as the recursive textbook definition."""
-    key = (a, r.eid)
+def _recursive_deriv(b, kind, x, r, memo):
+    """A derivative as the recursive textbook definition, by the symbol ``x``
+    (``kind`` "sym") or by the set ``x`` (``kind`` "pos" or "neg")."""
+    key = (kind, x, r.eid)
     if key not in memo:
+        alg = b.algebra
         if isinstance(r, Concat):
-            head = b.concat(_recursive_deriv(b, a, r.head, memo), r.tail)
+            head = b.concat(_recursive_deriv(b, kind, x, r.head, memo), r.tail)
             if r.head.nullable:
-                head = b.union(head, _recursive_deriv(b, a, r.tail, memo))
+                head = b.union(head, _recursive_deriv(b, kind, x, r.tail, memo))
             memo[key] = head
         elif isinstance(r, (Union, And)):
-            parts = (_recursive_deriv(b, a, m, memo) for m in r.members)
+            parts = (_recursive_deriv(b, kind, x, m, memo) for m in r.members)
             memo[key] = b.union(*parts) if isinstance(r, Union) else b.and_(*parts)
         elif isinstance(r, Star):
-            memo[key] = b.concat(_recursive_deriv(b, a, r.inner, memo), r)
+            memo[key] = b.concat(_recursive_deriv(b, kind, x, r.inner, memo), r)
         elif isinstance(r, Not):
-            memo[key] = b.not_(_recursive_deriv(b, a, r.inner, memo))
+            flipped = {"pos": "neg", "neg": "pos"}.get(kind, kind)
+            memo[key] = b.not_(_recursive_deriv(b, flipped, x, r.inner, memo))
+        elif isinstance(r, Literal):
+            if kind == "sym":
+                hit = alg.contains(r.symbols, x)
+            elif kind == "pos":
+                hit = not alg.is_empty(alg.intersect(x, r.symbols))
+            else:
+                hit = alg.is_empty(alg.intersect(x, alg.complement(r.symbols)))
+            memo[key] = b.epsilon() if hit else b.bottom()
         else:
-            memo[key] = deriv_symbol(b, a, r)
+            memo[key] = b.bottom()
     return memo[key]
 
 
-def test_symbol_derivative_interns_as_the_recursion_does(two):
+def test_symbol_derivative_interns_as_the_recursion_does():
     # the loop down a concatenation builds the same nodes in the same order
-    # as the recursion, so eids, and the traces that print them, stay put
-    rng = random.Random(23)
-    raws = [random_raw(rng, two.algebra, 12) for _ in range(300)]
-    looped, recursive, memo = two, ExprBuilder(two.algebra), {}
-    for raw in raws:
-        todo = [(looped.build(raw), recursive.build(raw))]
-        for _ in range(3):
-            todo = [
-                (deriv_symbol(looped, a, r), _recursive_deriv(recursive, a, s, memo))
-                for r, s in todo
-                for a in "ab"
-            ]
-            for r, s in todo:
-                assert (r.eid, to_text(r)) == (s.eid, to_text(s))
-        assert len(looped._table) == len(recursive._table)
+    # as the recursion, so eids, and the traces that print them, stay put;
+    # the set derivatives share that loop
+    alg = BitsetAlgebra("ab")
+    sets = [alg.from_chars(cs) for cs in ("a", "b", "ab")]
+    probes = (
+        ("sym", deriv_symbol, "ab"),
+        ("pos", pos_deriv, sets),
+        ("neg", neg_deriv, sets),
+    )
+    for kind, deriv, xs in probes:
+        rng = random.Random(23)
+        raws = [random_raw(rng, alg, 12) for _ in range(300)]
+        looped, recursive, memo = ExprBuilder(alg), ExprBuilder(alg), {}
+        for raw in raws:
+            todo = [(looped.build(raw), recursive.build(raw))]
+            for _ in range(3):
+                todo = [
+                    (deriv(looped, x, r), _recursive_deriv(recursive, kind, x, s, memo))
+                    for r, s in todo
+                    for x in xs
+                ]
+                for r, s in todo:
+                    assert (r.eid, to_text(r)) == (s.eid, to_text(s)), kind
+            assert len(looped._table) == len(recursive._table), kind
 
 
 def test_symbol_derivative_of_a_long_nullable_chain(two):
+    # no probe recurses along the chain, and the singleton sets give the
+    # symbol derivative
     chain = [two.char("b")]
     for _ in range(500):
         chain.append(two.concat(two.parse("a|()"), chain[-1]))
-    assert deriv_symbol(two, "a", chain[-1]) is two.union(*chain[:-1])
-    assert deriv_symbol(two, "b", chain[-1]) is two.epsilon()
+    r, alg = chain[-1], two.algebra
+    assert deriv_symbol(two, "a", r) is two.union(*chain[:-1])
+    assert deriv_symbol(two, "b", r) is two.epsilon()
+    for a in "ab":
+        singleton = alg.from_chars(a)
+        assert pos_deriv(two, singleton, r) is deriv_symbol(two, a, r)
+        assert neg_deriv(two, singleton, r) is deriv_symbol(two, a, r)
+    both = alg.from_chars("ab")
+    assert pos_deriv(two, both, r) is two.union(*chain[:-1], two.epsilon())
+    assert neg_deriv(two, both, r) is two.bottom()
 
 
 # -- word derivative ---------------------------------------------------------------

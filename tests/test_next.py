@@ -270,8 +270,8 @@ def test_pair_classes_carry_witnesses_and_holders():
     exprs = _random_expressions(b)
     for r, s in list(zip(exprs, exprs[1:])) + list(zip(exprs[1:], exprs)):
         branches = pair_classes(b, r, s)
-        assert tuple(c for c, _, _, _ in branches) == next_of_ineq(b, r, s)
         left, right = next_literals(b, r), next_literals(b, s)
+        assert tuple(c for c, _, _, _ in branches) == left_join(alg, left, right)
         for c, w, i, j in branches:
             assert w == alg.pick_witness(c)
             assert alg.is_subset(c, left[i])
