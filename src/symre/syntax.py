@@ -157,7 +157,7 @@ class ExprBuilder:
         return self._intern(("lit", symbols), Literal, symbols, nullable=False)
 
     def char(self, c: str) -> Ere:
-        return self.literal(self.algebra.class_set([(ord(c), ord(c))], False))
+        return self.literal(_char_set(self.algebra, c))
 
     def bottom(self) -> Ere:
         """The empty expression ``[]``."""
@@ -257,15 +257,21 @@ class ExprBuilder:
         from the right (each step O(1), as the right part already leans
         right), and a ``union`` or ``and`` chain goes to one n-ary call, so
         no intermediate node is interned.  An n-symbol word costs O(n).
+        A raw literal shared by several leaves (the parser makes one per
+        distinct character) is interned once, then found by identity.
         """
         todo: list = [raw]  # raw trees, and ``(_APPLY, tag, arity)`` steps
         done: list[Ere] = []  # built operands, in source order
         push, emit = todo.append, done.append
+        lits: dict[int, Ere] = {}  # id of a raw literal -> its node; ``raw`` keeps it alive
         while todo:
             item = todo.pop()
             tag = item[0]
             if tag == "lit":
-                emit(self.literal(item[1]))
+                node = lits.get(id(item))
+                if node is None:
+                    node = lits[id(item)] = self.literal(item[1])
+                emit(node)
             elif tag is _APPLY:
                 _, tag, arity = item
                 args = done[-arity:]
@@ -361,6 +367,11 @@ def raw_width(raw: RawExpr) -> int:
 # '()' is the empty word, '[]' the empty set, '.' the full alphabet.
 # Postfix '*' binds tightest, then prefix '!', then juxtaposition, then
 # '&', then '|'; so  !a*  is  !(a*)  and  a|b&c  is  a|(b&c).
+#
+# A plain character (a bare char atom, not a backslash escape, with no '*'
+# after it) is read by ``_cat``'s own loop, without the descent through ``neg``,
+# ``post`` and ``atom``; and one parse makes one raw literal per distinct
+# character, so a word costs about one dict lookup per symbol.
 
 
 # The deepest parenthesis nesting the parser accepts.  Each level costs the
@@ -377,7 +388,13 @@ class ParseError(ValueError):
         self.position = position
 
 
-_ATOM_START_STOP = set("|&)*")  # tokens that cannot start an atom
+_ATOM_STOP = set("|&)*]")  # tokens that cannot start an atom, so end a concatenation
+_ATOM_OPEN = set("(![.\\")  # other tokens that are not a plain character
+
+
+def _char_set(algebra: Algebra, c: str) -> SymbolSet:
+    """The set of the one character ``c``."""
+    return algebra.class_set([(ord(c), ord(c))], False)
 
 
 class _Scanner:
@@ -386,6 +403,14 @@ class _Scanner:
         self.pos = 0
         self.algebra = algebra
         self.depth = 0  # open parentheses around the current position
+        self.lits: dict[str, RawExpr] = {}  # character -> its raw literal
+
+    def char_lit(self, c: str) -> RawExpr:
+        """The raw literal of ``c``, made once per parse and then shared."""
+        lit = self.lits.get(c)
+        if lit is None:
+            lit = self.lits[c] = ("lit", _char_set(self.algebra, c))
+        return lit
 
     def peek(self) -> str | None:
         return self.text[self.pos] if self.pos < len(self.text) else None
@@ -445,8 +470,7 @@ def parse_class_text(text: str, algebra: Algebra) -> SymbolSet:
         sc.take()
         out = algebra.top()
     else:
-        ch = sc.escape() if sc.take() == "\\" else c
-        out = algebra.class_set([(ord(ch), ord(ch))], False)
+        out = _char_set(algebra, sc.escape() if sc.take() == "\\" else c)
     if sc.peek() is not None:
         raise ParseError(f"unexpected {sc.peek()!r} after class", sc.pos)
     return out
@@ -479,9 +503,17 @@ def _and(sc: _Scanner) -> RawExpr:
 
 
 def _cat(sc: _Scanner) -> RawExpr:
+    """A left-nested concatenation of factors.  A plain character is read
+    here from the text, as its shared raw literal; any other factor goes
+    down through ``_neg``."""
+    text, end = sc.text, len(sc.text)
     raw = _neg(sc)
-    while sc.peek() is not None and sc.peek() not in _ATOM_START_STOP and sc.peek() != "]":
-        raw = ("concat", raw, _neg(sc))
+    while (pos := sc.pos) < end and (c := text[pos]) not in _ATOM_STOP:
+        if c in _ATOM_OPEN or text[pos + 1 : pos + 2] == "*":
+            raw = ("concat", raw, _neg(sc))
+        else:
+            sc.pos = pos + 1
+            raw = ("concat", raw, sc.char_lit(c))
     return raw
 
 
@@ -506,7 +538,7 @@ def _post(sc: _Scanner) -> RawExpr:
 
 def _atom(sc: _Scanner) -> RawExpr:
     c = sc.peek()
-    if c is None or c in _ATOM_START_STOP or c == "]":
+    if c is None or c in _ATOM_STOP:
         raise ParseError("expected an expression atom", sc.pos)
     if c == "(":
         if sc.depth == MAX_NESTING:
@@ -525,12 +557,8 @@ def _atom(sc: _Scanner) -> RawExpr:
     if c == ".":
         sc.take()
         return ("lit", sc.algebra.top())
-    if c == "\\":
-        sc.take()
-        ch = sc.escape()
-    else:
-        ch = sc.take()
-    return ("lit", sc.algebra.class_set([(ord(ch), ord(ch))], False))
+    sc.take()
+    return sc.char_lit(sc.escape() if c == "\\" else c)
 
 
 def _class_char(sc: _Scanner) -> str:

@@ -13,7 +13,7 @@ from symre.containment import (
     replay_trace,
     shortest_word,
 )
-from symre.derivative import deriv_symbol
+from symre.derivative import deriv_symbol, neg_deriv, pos_deriv
 from symre.oracle import SliceOracle
 from symre.syntax import ExprBuilder
 
@@ -239,6 +239,22 @@ def test_long_chains_of_nullable_heads_get_answers():
     verdict = Checker(b).check(b.parse("a*" * 600), b.parse("a*"))
     assert verdict.holds and verdict.stats.visited == 3
     assert shortest_word(b, b.parse("(a|())" * 500 + "b")) == ("b",)
+
+
+@settings(max_examples=10)
+@given(st.lists(st.sampled_from(["(a|())", "a*", "(b|())", "b*", "()"]), min_size=250, max_size=400))
+def test_long_optional_chains(factors):
+    # every factor is nullable, so ``b`` is the shortest word and every word
+    # ends in ``b``; no operation recurses once per factor
+    b = ExprBuilder(BitsetAlgebra("ab"))
+    r = b.parse("".join(factors) + "b")
+    assert shortest_word(b, r) == ("b",)
+    chk = Checker(b)
+    assert chk.check(r, b.parse(".*b")).holds
+    assert chk.check(b.parse("b"), r).holds
+    a = b.algebra.from_chars("a")
+    by_a = deriv_symbol(b, "a", r)
+    assert pos_deriv(b, a, r) is by_a and neg_deriv(b, a, r) is by_a
 
 
 @pytest.mark.parametrize(

@@ -297,12 +297,48 @@ def test_parse_classes():
         ("[a-]", 3),
         ("!\\u{xyz}", 4),
         ("", 0),
+        ("ab)", 2),
+        ("abc|", 4),
+        ("ab]", 2),
+        ("ab*|", 4),
+        ("a!", 2),
+        ("ab\\", 3),
     ],
 )
 def test_parse_errors_carry_position(b, text, pos):
     with pytest.raises(ParseError) as err:
         b.parse(text)
     assert err.value.position == pos
+
+
+def test_plain_characters_parse_as_general_atoms(b):
+    # a bare ``a`` is read by the plain-character loop, ``(a)`` by ``_atom``
+    tokens = ["a", "b", "c", "*", "!", ".", "(", ")", "|", "&", "[ab]", "\\*"]
+    rng = random.Random(16)
+    for _ in range(3000):
+        picked = rng.choices(tokens, k=rng.randint(1, 14))
+        text = "".join(picked)
+        wrapped = "".join(f"({t})" if t in ("a", "b", "c") else t for t in picked)
+        try:
+            raw = parse_raw(text, b.algebra)
+        except ParseError:
+            with pytest.raises(ParseError):
+                parse_raw(wrapped, b.algebra)
+        else:
+            assert parse_raw(wrapped, b.algebra) == raw
+
+
+def test_word_makes_one_set_per_distinct_character():
+    alg = IntervalAlgebra()
+    calls = []
+    class_set = alg.class_set
+    alg.class_set = lambda items, negate: calls.append(items) or class_set(items, negate)
+    n = 10_000
+    rng = random.Random(17)
+    raw = parse_raw("".join(rng.choice("abc") for _ in range(n)), alg)
+    ExprBuilder(alg).build(raw)
+    assert len(calls) <= 3
+    assert raw_size(raw) == 2 * n - 1 and raw_width(raw) == n
 
 
 def test_nesting_limit(b):
