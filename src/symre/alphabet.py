@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 MAX_CODEPOINT = 0x10FFFF
 
@@ -102,8 +102,9 @@ class Algebra:
         raise NotImplementedError
 
     def symbol_key(self, symbol):
-        """Sort key realizing the algebra's total order on symbols."""
-        raise NotImplementedError
+        """Sort key realizing the algebra's total order on symbols; for
+        characters, codepoint order."""
+        return ord(symbol)
 
     def class_set(self, items: Sequence[tuple[int, int]], negate: bool) -> SymbolSet:
         """Build a set from parsed ``[...]`` class items (codepoint ranges)."""
@@ -188,6 +189,17 @@ def _clip(alg, items: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     )
 
 
+def _gaps(alg, intervals: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """The ranges of ``alg``'s codepoint range between sorted disjoint ``intervals``."""
+    cursor = alg.min_codepoint
+    for lo, hi in intervals:
+        if cursor < lo:
+            yield cursor, lo - 1
+        cursor = hi + 1
+    if cursor <= alg.max_codepoint:
+        yield cursor, alg.max_codepoint
+
+
 # ---------------------------------------------------------------------------
 # Bit vectors over a small explicit alphabet
 
@@ -255,9 +267,6 @@ class BitsetAlgebra(Algebra):
         low = a.mask & -a.mask
         return self.symbols[low.bit_length() - 1]
 
-    def symbol_key(self, symbol: str) -> int:
-        return ord(symbol)
-
     def class_set(self, items: Sequence[tuple[int, int]], negate: bool) -> BitSet:
         ivs = merge_intervals(items)
         mask = 0
@@ -320,15 +329,7 @@ class IntervalAlgebra(Algebra):
 
     def complement(self, a: IntervalSet) -> IntervalSet:
         self._own(a)
-        out = []
-        cursor = self.min_codepoint
-        for lo, hi in a.intervals:
-            if cursor < lo:
-                out.append((cursor, lo - 1))
-            cursor = hi + 1
-        if cursor <= self.max_codepoint:
-            out.append((cursor, self.max_codepoint))
-        return IntervalSet(self, tuple(out))
+        return IntervalSet(self, tuple(_gaps(self, a.intervals)))
 
     def is_empty(self, a: IntervalSet) -> bool:
         self._own(a)
@@ -345,9 +346,6 @@ class IntervalAlgebra(Algebra):
         if not a.intervals:
             raise AlgebraError("cannot pick a witness from the empty set")
         return chr(a.intervals[0][0])
-
-    def symbol_key(self, symbol: str) -> int:
-        return ord(symbol)
 
     def class_set(self, items: Sequence[tuple[int, int]], negate: bool) -> IntervalSet:
         s = IntervalSet(self, _clip(self, items))
@@ -397,12 +395,8 @@ class FiniteCofiniteAlgebra(Algebra):
         return FcSet(self, cofinite, members)
 
     def _enumerate_complement(self, members: frozenset[str]) -> frozenset[str]:
-        out = []
-        cursor = self.min_codepoint
-        for cp in sorted(ord(c) for c in members):
-            out.extend(map(chr, range(cursor, cp)))
-            cursor = cp + 1
-        out.extend(map(chr, range(cursor, self.max_codepoint + 1)))
+        points = sorted((ord(c), ord(c)) for c in members)
+        out = [chr(cp) for lo, hi in _gaps(self, points) for cp in range(lo, hi + 1)]
         self.scan_steps += len(out) + len(members)
         return frozenset(out)
 
@@ -463,9 +457,6 @@ class FiniteCofiniteAlgebra(Algebra):
             if chr(cp) not in a.members:
                 return chr(cp)
         raise AlgebraError("cofinite set with no witness")  # unreachable: canonical
-
-    def symbol_key(self, symbol: str) -> int:
-        return ord(symbol)
 
     # Character classes are expanded to explicit symbols, so huge ranges are
     # rejected rather than silently materialized.

@@ -5,8 +5,8 @@ the empty word while the right side does not is a refutation; a revisited
 pair closes a cycle and counts as proven; otherwise the pair is split along
 the next literals of the inequality and both sides are differentiated by
 each literal.  The classes come from ``nextlit.pair_classes``, memoized per
-partition pair with each class's witness symbol, and checked there once to
-lie inside one next literal of each side or outside the right side's
+partition pair with each class's witness symbol; each lies by construction
+inside one next literal of each side or outside the right side's
 coverage.  So a branch costs two symbol derivatives by the witness, or one
 outside the right side's coverage, where that side's derivative is ``[]``.
 Termination follows from the finiteness of dissimilar iterated derivatives.
@@ -156,7 +156,7 @@ class Checker:
         assumed: set[tuple[int, int]] = set()
         path: list = []  # witness symbols along the current path, cut to a frame's depth
         frames: list[list] = []  # [lhs, rhs, branches, next branch] per unfolded pair
-        state = _QueryState()
+        visited = max_depth = 0
 
         def emit(rule: str, lhs: Ere, rhs: Ere, literal, depth: int) -> None:
             if self.trace is not None:
@@ -170,10 +170,6 @@ class Checker:
                     }
                 )
 
-        def fail(tail: Sequence) -> Verdict:
-            word = alg.word_of(tuple(path) + tuple(tail))
-            return Verdict(False, word, state.stats())
-
         def visit(lhs: Ere, rhs: Ere, depth: int) -> Optional[tuple]:
             """Answer the pair or push its frame.
 
@@ -181,10 +177,11 @@ class Checker:
             it is unfolded.  Returns the witness tail of a refutation, else
             None.
             """
-            state.visited += 1
-            state.max_depth = max(state.max_depth, depth)
-            if state.visited > self.fuel:
-                raise FuelExhausted(state.visited, state.max_depth)
+            nonlocal visited, max_depth
+            visited += 1
+            max_depth = max(max_depth, depth)
+            if visited > self.fuel:
+                raise FuelExhausted(visited, max_depth)
             if lhs.nullable and not rhs.nullable:
                 emit("disprove", lhs, rhs, None, depth)
                 return ()
@@ -236,7 +233,10 @@ class Checker:
             dr = deriv_symbol(b, a, rhs) if j >= 0 else bottom
             tail = visit(dl, dr, depth + 1)
 
-        return Verdict(True, None, state.stats()) if tail is None else fail(tail)
+        stats = CheckStats(visited, max_depth)
+        if tail is None:
+            return Verdict(True, None, stats)
+        return Verdict(False, alg.word_of(tuple(path) + tuple(tail)), stats)
 
     def equivalent(self, r: Ere, s: Ere) -> Verdict:
         """Decide language equality as containment in both directions.
@@ -256,17 +256,6 @@ class Checker:
 
     def membership(self, word: Iterable, r: Ere) -> bool:
         return membership(self.builder, word, r)
-
-
-class _QueryState:
-    __slots__ = ("visited", "max_depth")
-
-    def __init__(self):
-        self.visited = 0
-        self.max_depth = 0
-
-    def stats(self) -> CheckStats:
-        return CheckStats(self.visited, self.max_depth)
 
 
 # ---------------------------------------------------------------------------

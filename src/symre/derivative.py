@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .alphabet import Algebra, SymbolSet
-from .nextlit import Partition, _combine, _holder, next_literals
+from .alphabet import SymbolSet
+from .nextlit import _combine, minterms, next_literals
 from .syntax import And, Concat, Epsilon, Ere, ExprBuilder, Literal, Not, Star, Union
 
 _FLIP = {"pos": "neg", "neg": "pos"}
@@ -134,8 +134,8 @@ def deriv_literal(b: ExprBuilder, a_set: SymbolSet, r: Ere) -> Ere:
     but the positive derivative is ``()``.  The refinement
     precondition is the caller's obligation and is verified on every call
     when assertions are enabled.  The checker does not call this: it reads
-    each class's witness from ``nextlit.pair_classes``, which checks the
-    same precondition once per partition pair.
+    each class's witness from ``nextlit.pair_classes``, whose classes meet
+    the same precondition by construction.
     """
     if b.algebra.is_empty(a_set):
         raise ValueError("cannot take a derivative by the empty literal")
@@ -149,15 +149,11 @@ def deriv_literal(b: ExprBuilder, a_set: SymbolSet, r: Ere) -> Ere:
 def refines_next(b: ExprBuilder, a_set: SymbolSet, r: Ere) -> bool:
     """True when ``a_set`` fits inside one next literal of ``r`` or misses all.
 
-    The answer depends only on ``a_set`` and the partition, so it is
-    memoized with the partition combinators (see ``nextlit._combine``).
+    That is, when the members of ``r``'s partition cut ``a_set`` into at
+    most one minterm; the empty set has none, so it refines vacuously.  The
+    minterms are memoized with the partitions (see ``nextlit._combine``).
     """
-    return _combine(b, _refines, a_set, next_literals(b, r))
-
-
-def _refines(alg: Algebra, a_set: SymbolSet, part: Partition) -> bool:
-    k = _holder(alg, a_set, part)
-    return k < 0 or alg.is_subset(a_set, part[k])
+    return len(_combine(b, minterms, a_set, next_literals(b, r))) <= 1
 
 
 def deriv_word(b: ExprBuilder, word: Iterable, r: Ere) -> Ere:

@@ -42,6 +42,7 @@ from .alphabet import Algebra, SymbolSet
 from .syntax import And, Concat, Epsilon, Ere, ExprBuilder, Literal, Not, Star, Union
 
 Partition = tuple[SymbolSet, ...]
+_Piece = tuple[SymbolSet, int, int]
 
 
 def canonical_partition(alg: Algebra, sets: Iterable[SymbolSet]) -> Partition:
@@ -62,20 +63,22 @@ def partition_union(alg: Algebra, parts: Partition) -> SymbolSet:
 def join(alg: Algebra, left: Partition, right: Partition) -> Partition:
     """Common refinement covering the union of both sides."""
     outside_left = alg.complement(partition_union(alg, left))
-    pieces = _left_pieces(alg, left, right)
+    pieces = [p for p, _, _ in _left_pieces(alg, left, right)]
     pieces.extend(alg.intersect(outside_left, b) for b in right)
     return canonical_partition(alg, pieces)
 
 
 def left_join(alg: Algebra, left: Partition, right: Partition) -> Partition:
     """Refinement covering exactly the union of the left side."""
-    return canonical_partition(alg, _left_pieces(alg, left, right))
+    return canonical_partition(alg, (p for p, _, _ in _left_pieces(alg, left, right)))
 
 
-def _left_pieces(alg: Algebra, left: Partition, right: Partition) -> list[SymbolSet]:
+def _left_pieces(alg: Algebra, left: Partition, right: Partition) -> list[_Piece]:
+    """Each ``left[i]`` cut by right's members and by right's coverage, as
+    ``(left[i] & right[j], i, j)`` and ``(left[i] outside right, i, -1)``."""
     outside_right = alg.complement(partition_union(alg, right))
-    pieces = [alg.intersect(a, b) for a in left for b in right]
-    pieces.extend(alg.intersect(a, outside_right) for a in left)
+    pieces = [(alg.intersect(a, b), i, j) for i, a in enumerate(left) for j, b in enumerate(right)]
+    pieces.extend((alg.intersect(a, outside_right), i, -1) for i, a in enumerate(left))
     return pieces
 
 
@@ -203,21 +206,14 @@ def witnessed_left_join(alg: Algebra, left: Partition, right: Partition) -> tupl
     when the class misses ``right``'s coverage.  On next-literal partitions
     a symbol derivative by the witness is thus the derivative by every
     symbol of the class, on both sides, and outside the coverage it is
-    ``[]``.  That refinement is asserted here, once per partition pair.
+    ``[]``.  That refinement holds by construction: each class is the piece
+    ``_left_pieces`` cut from ``left[i]`` and ``right[j]``, and the pieces
+    of two partitions are disjoint, so none repeats.
     """
-    out = []
-    for c in canonical_partition(alg, _left_pieces(alg, left, right)):
-        i, j = _holder(alg, c, left), _holder(alg, c, right)
-        assert i >= 0 and alg.is_subset(c, left[i]) and (j < 0 or alg.is_subset(c, right[j])), (
-            f"class {alg.format_set(c)} does not refine the partitions it splits"
-        )
-        out.append((c, alg.pick_witness(c), i, j))
-    return tuple(out)
-
-
-def _holder(alg: Algebra, c: SymbolSet, part: Partition) -> int:
-    """The index of the first member of ``part`` that meets ``c``, or -1."""
-    for k, member in enumerate(part):
-        if not alg.is_empty(alg.intersect(c, member)):
-            return k
-    return -1
+    classes = [
+        (c, alg.pick_witness(c), i, j)
+        for c, i, j in _left_pieces(alg, left, right)
+        if not alg.is_empty(c)
+    ]
+    classes.sort(key=lambda branch: alg.symbol_key(branch[1]))
+    return tuple(classes)

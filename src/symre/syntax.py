@@ -71,12 +71,28 @@ class Literal(Ere):
         self.symbols = symbols
 
 
-class Union(Ere):
+class _Nary(Ere):
+    """A node over a sorted tuple of members: ``Union`` or ``And``."""
+
     __slots__ = ("members",)
 
     def __init__(self, eid: int, nullable: bool, members: tuple[Ere, ...]):
         super().__init__(eid, nullable)
         self.members = members
+
+
+class _Unary(Ere):
+    """A node over one operand: ``Star`` or ``Not``."""
+
+    __slots__ = ("inner",)
+
+    def __init__(self, eid: int, nullable: bool, inner: Ere):
+        super().__init__(eid, nullable)
+        self.inner = inner
+
+
+class Union(_Nary):
+    __slots__ = ()
 
 
 class Concat(Ere):
@@ -88,28 +104,16 @@ class Concat(Ere):
         self.tail = tail
 
 
-class Star(Ere):
-    __slots__ = ("inner",)
-
-    def __init__(self, eid: int, nullable: bool, inner: Ere):
-        super().__init__(eid, nullable)
-        self.inner = inner
+class Star(_Unary):
+    __slots__ = ()
 
 
-class And(Ere):
-    __slots__ = ("members",)
-
-    def __init__(self, eid: int, nullable: bool, members: tuple[Ere, ...]):
-        super().__init__(eid, nullable)
-        self.members = members
+class And(_Nary):
+    __slots__ = ()
 
 
-class Not(Ere):
-    __slots__ = ("inner",)
-
-    def __init__(self, eid: int, nullable: bool, inner: Ere):
-        super().__init__(eid, nullable)
-        self.inner = inner
+class Not(_Unary):
+    __slots__ = ()
 
 
 class ExprBuilder:
@@ -427,8 +431,12 @@ class _Scanner:
             raise ParseError(f"expected {c!r}", self.pos)
         self.pos += 1
 
-    def escape(self) -> str:
-        # backslash already consumed
+    def char(self) -> str:
+        """Take one character, or the escape sequence it starts: ``\\c`` is
+        ``c`` and ``\\u{hex}`` is that codepoint."""
+        c = self.take()
+        if c != "\\":
+            return c
         c = self.take()
         if c != "u":
             return c
@@ -470,7 +478,7 @@ def parse_class_text(text: str, algebra: Algebra) -> SymbolSet:
         sc.take()
         out = algebra.top()
     else:
-        out = _char_set(algebra, sc.escape() if sc.take() == "\\" else c)
+        out = _char_set(algebra, sc.char())
     if sc.peek() is not None:
         raise ParseError(f"unexpected {sc.peek()!r} after class", sc.pos)
     return out
@@ -481,8 +489,7 @@ def unescape_word(text: str) -> str:
     sc = _Scanner(text, None)  # type: ignore[arg-type]
     out = []
     while sc.peek() is not None:
-        c = sc.take()
-        out.append(sc.escape() if c == "\\" else c)
+        out.append(sc.char())
     return "".join(out)
 
 
@@ -557,15 +564,7 @@ def _atom(sc: _Scanner) -> RawExpr:
     if c == ".":
         sc.take()
         return ("lit", sc.algebra.top())
-    sc.take()
-    return sc.char_lit(sc.escape() if c == "\\" else c)
-
-
-def _class_char(sc: _Scanner) -> str:
-    c = sc.take()
-    if c == "\\":
-        return sc.escape()
-    return c
+    return sc.char_lit(sc.char())
 
 
 def _class(sc: _Scanner) -> SymbolSet:
@@ -580,12 +579,12 @@ def _class(sc: _Scanner) -> SymbolSet:
             raise ParseError("unterminated character class", sc.pos)
         if sc.peek() == "-":
             raise ParseError("'-' must be escaped or part of a range", sc.pos)
-        lo = _class_char(sc)
+        lo = sc.char()
         if sc.peek() == "-":
             sc.take()
             if sc.peek() in (None, "]"):
                 raise ParseError("expected range end after '-'", sc.pos)
-            hi = _class_char(sc)
+            hi = sc.char()
             if ord(hi) < ord(lo):
                 raise ParseError(f"empty range {lo}-{hi}", sc.pos)
             items.append((ord(lo), ord(hi)))

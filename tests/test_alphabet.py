@@ -178,6 +178,17 @@ def test_mixing_algebras_rejected():
         one.union(one.top(), two.top())
 
 
+def test_constructors_reject_bad_input():
+    with pytest.raises(AlgebraError, match="^bitset alphabet must not be empty$"):
+        BitsetAlgebra("")
+    with pytest.raises(AlgebraError, match="^symbol 'z' is not in the alphabet$"):
+        BitsetAlgebra("ab").from_chars("z")
+    for cls in (IntervalAlgebra, FiniteCofiniteAlgebra):
+        for lo, hi in ((5, 4), (-1, 10), (0, 0x110000)):
+            with pytest.raises(AlgebraError, match="^invalid codepoint range$"):
+                cls(lo, hi)
+
+
 def test_subset_via_complement_definition():
     a, b = BITS.from_chars("abc"), BITS.from_chars("ab")
     assert BITS.is_subset(b, a)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from symre import cli
 from symre.containment import replay_trace
 from symre.cli import main
@@ -38,6 +40,15 @@ def test_check_flags(capsys):
     for extra in (["--no-axioms"], ["--global-memo", "false"], ["--fuel", "4096"]):
         code, out, _ = run(capsys, "check", *ABC, *extra, "(a|b)|c", "a|b")
         assert code == 1 and out == "FAILS witness=c\n"
+
+
+def test_global_memo_flag_values(capsys):
+    code, out, _ = run(capsys, "check", *ABC, "--global-memo", "true", "a*", "(a|b)*")
+    assert code == 0 and out == "HOLDS\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["check", *ABC, "--global-memo", "maybe", "a*", "(a|b)*"])
+    assert exc.value.code == 2
+    assert "expected a boolean, got 'maybe'" in capsys.readouterr().err
 
 
 def test_fuel_exhaustion_exit_code(capsys):
@@ -89,6 +100,12 @@ def test_derive_by_class(capsys):
 def test_derive_rejects_non_refining_class(capsys):
     code, out, err = run(capsys, "derive", *ABC, "--by", "[ab]", "a*")
     assert code == 2 and "does not refine" in err
+
+
+def test_derive_rejects_the_empty_class(capsys):
+    code, out, err = run(capsys, "derive", *ABC, "--by", "[]", "a*")
+    assert code == 2 and not out
+    assert "cannot derive by the empty class" in err
 
 
 def test_next_outputs_one_literal_per_line(capsys):

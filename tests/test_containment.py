@@ -127,6 +127,28 @@ def test_fuel_exhaustion_is_an_error(b):
     assert err.value.visited == 3
 
 
+def test_shortest_word_fuel_exhaustion_is_an_error(b):
+    with pytest.raises(FuelExhausted) as err:
+        shortest_word(b, b.parse("abc"), fuel=1)
+    assert (err.value.visited, err.value.max_depth) == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "events,message",
+    [
+        ([], "empty trace"),
+        (
+            [{"rule": "cycle", "depth": 0}, {"rule": "cycle", "depth": 0}],
+            "trailing trace events at index 1",
+        ),
+        ([{"rule": "cycle", "depth": 1}], "trace event at index 0 has unexpected depth"),
+    ],
+)
+def test_replay_trace_rejects_malformed_traces(events, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replay_trace(events)
+
+
 # -- verdicts against the oracle -------------------------------------------------------
 
 
@@ -182,6 +204,13 @@ def test_equivalence_cases(b, chk):
     verdict = chk.equivalent(b.parse("a"), b.parse("a|b"))
     assert not verdict.holds and verdict.witness == "b"
     assert chk.equivalent(b.parse("!([])"), b.parse(".*")).holds
+
+
+def test_equivalence_returns_the_failing_forward_check(b, chk):
+    r, s = b.parse("a|b"), b.parse("a")
+    verdict = chk.equivalent(r, s)
+    assert not verdict.holds and verdict.witness == "b"
+    assert verdict == chk.check(r, s)
 
 
 def test_equivalence_witness_distinguishes(b, chk):

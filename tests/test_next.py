@@ -15,6 +15,7 @@ from symre.nextlit import (
     next_of_ineq,
     pair_classes,
     partition_union,
+    witnessed_left_join,
 )
 from symre.syntax import And, Concat, ExprBuilder, Literal, Not, Star, Union, width
 
@@ -280,6 +281,42 @@ def test_pair_classes_carry_witnesses_and_holders():
             else:
                 assert alg.is_empty(alg.intersect(c, partition_union(alg, right)))
                 assert deriv_symbol(b, w, s) is b.bottom(), (repr(r), repr(s))
+
+
+def _first_meeting(alg, c, part):
+    """The index of the first member of ``part`` that meets ``c``, or -1."""
+    for k, member in enumerate(part):
+        if not alg.is_empty(alg.intersect(c, member)):
+            return k
+    return -1
+
+
+def test_witnessed_left_join_matches_holder_scans():
+    alg = BitsetAlgebra("abcdefgh")
+    rng = random.Random(47)
+    for _ in range(1000):
+        left, right = random_partition(rng, alg), random_partition(rng, alg)
+        expected = tuple(
+            (c, alg.pick_witness(c), _first_meeting(alg, c, left), _first_meeting(alg, c, right))
+            for c in left_join(alg, left, right)
+        )
+        assert witnessed_left_join(alg, left, right) == expected
+
+
+def test_refines_next_matches_its_definition():
+    # every subset of the alphabet, the empty set included, against the
+    # definition: inside one next literal, or outside all of them
+    alg = BitsetAlgebra("abc")
+    b = ExprBuilder(alg)
+    subsets = [alg.from_chars(c for k, c in enumerate("abc") if m >> k & 1) for m in range(8)]
+    rng = random.Random(48)
+    for _ in range(300):
+        r = b.build(random_raw(rng, alg, 10, C3_WEIGHTS))
+        part = next_literals(b, r)
+        for a_set in subsets:
+            inside_one = any(alg.is_subset(a_set, m) for m in part)
+            misses_all = all(alg.is_empty(alg.intersect(a_set, m)) for m in part)
+            assert refines_next(b, a_set, r) == (inside_one or misses_all), (repr(r), str(a_set))
 
 
 def test_finiteness_bound_on_exponential_family():

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from symre.alphabet import AlgebraError
-from symre.containment import Checker, membership, shortest_word
+from symre import regexalg
+from symre.containment import Checker, FuelExhausted, membership, shortest_word
 from symre.regexalg import RegexAlgebra, RegexSet
 from symre.syntax import ExprBuilder
 
@@ -63,6 +64,20 @@ def test_emptiness_and_witness_agree_with_inner_searches(alg):
         if not empty:
             fresh = ExprBuilder(inner_alg)
             assert alg.pick_witness(a) == "".join(shortest_word(fresh, fresh.build(raw)))
+
+
+def test_inner_fuel_exhaustion_is_an_algebra_error(alg, monkeypatch):
+    # a failed inner decision is a fault of the algebra, never an answer
+    def exhausted(*args, **kwargs):
+        raise FuelExhausted(7, 3)
+
+    a, b = alg.set_of("a*"), alg.set_of("(a|b)*")
+    monkeypatch.setattr(regexalg, "shortest_word", exhausted)
+    with pytest.raises(AlgebraError, match="^inner emptiness decision failed: fuel exhausted"):
+        alg.is_empty(a)
+    monkeypatch.setattr(alg._checker, "check", exhausted)
+    with pytest.raises(AlgebraError, match="^inner containment decision failed: fuel exhausted"):
+        alg.is_subset(a, b)
 
 
 def test_no_class_syntax(alg):

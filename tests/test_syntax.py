@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from symre.alphabet import BitsetAlgebra, IntervalAlgebra
+from symre.alphabet import AlgebraError, BitsetAlgebra, IntervalAlgebra
 from symre.syntax import (
     MAX_NESTING,
     And,
@@ -311,6 +311,32 @@ def test_parse_errors_carry_position(b, text, pos):
     assert err.value.position == pos
 
 
+@pytest.mark.parametrize(
+    "text,message,pos",
+    [
+        ("\\u{}", "expected hex digits and '}' after \\u{", 3),
+        ("\\u{41", "expected hex digits and '}' after \\u{", 5),
+        ("\\u{110000}", "codepoint 110000 out of range", 3),
+        ("[-a]", "'-' must be escaped or part of a range", 1),
+        ("[z-a]", "empty range z-a", 4),
+    ],
+)
+def test_parse_error_messages(text, message, pos):
+    with pytest.raises(ParseError) as err:
+        parse_raw(text, IntervalAlgebra())
+    assert str(err.value) == f"{message} (at position {pos})"
+    assert err.value.position == pos
+
+
+def test_builder_rejects_bad_input(b):
+    with pytest.raises(AlgebraError, match="^literal set belongs to a different algebra$"):
+        b.literal(BitsetAlgebra("abc").top())
+    with pytest.raises(TypeError, match=r"^and_\(\) needs at least one operand$"):
+        b.and_()
+    with pytest.raises(ValueError, match="^unknown raw tag 'bogus'$"):
+        b.build(("bogus",))
+
+
 def test_plain_characters_parse_as_general_atoms(b):
     # a bare ``a`` is read by the plain-character loop, ``(a)`` by ``_atom``
     tokens = ["a", "b", "c", "*", "!", ".", "(", ")", "|", "&", "[ab]", "\\*"]
@@ -363,6 +389,9 @@ def test_parse_class_text(b):
     assert parse_class_text(".", b.algebra) == b.algebra.top()
     with pytest.raises(ParseError):
         parse_class_text("[ab] ", b.algebra)
+    with pytest.raises(ParseError) as err:
+        parse_class_text("", b.algebra)
+    assert str(err.value) == "expected a character class (at position 0)"
 
 
 def test_unescape_word():
@@ -387,6 +416,13 @@ def test_render_parse_round_trip():
     for _ in range(400):
         r = b.build(random_raw(rng, alg, 10))
         assert b.parse(to_text(r)) is r
+
+
+def test_meta_character_renders_escaped():
+    b = ExprBuilder(IntervalAlgebra())
+    star = b.char("*")
+    assert to_text(star) == "\\*"
+    assert b.parse(to_text(star)) is star
 
 
 def test_render_spot_checks(b):
