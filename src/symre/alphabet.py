@@ -42,21 +42,6 @@ class SymbolSet:
     __slots__ = ()
     algebra: "Algebra"
 
-    def __or__(self, other: "SymbolSet") -> "SymbolSet":
-        return self.algebra.union(self, other)
-
-    def __and__(self, other: "SymbolSet") -> "SymbolSet":
-        return self.algebra.intersect(self, other)
-
-    def __invert__(self) -> "SymbolSet":
-        return self.algebra.complement(self)
-
-    def __le__(self, other: "SymbolSet") -> bool:
-        return self.algebra.is_subset(self, other)
-
-    def __contains__(self, symbol) -> bool:
-        return self.algebra.contains(self, symbol)
-
     def __str__(self) -> str:
         return self.algebra.format_set(self)
 
@@ -200,6 +185,16 @@ def _gaps(alg, intervals: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]
         yield cursor, alg.max_codepoint
 
 
+class _CodepointAlgebra(Algebra):
+    """An algebra over the codepoints ``min_codepoint..max_codepoint``."""
+
+    def __init__(self, min_codepoint: int = 0, max_codepoint: int = MAX_CODEPOINT):
+        if not 0 <= min_codepoint <= max_codepoint <= MAX_CODEPOINT:
+            raise AlgebraError("invalid codepoint range")
+        self.min_codepoint = min_codepoint
+        self.max_codepoint = max_codepoint
+
+
 # ---------------------------------------------------------------------------
 # Bit vectors over a small explicit alphabet
 
@@ -292,14 +287,8 @@ class IntervalSet(SymbolSet):
     intervals: tuple[tuple[int, int], ...]  # inclusive, sorted, non-adjacent
 
 
-class IntervalAlgebra(Algebra):
+class IntervalAlgebra(_CodepointAlgebra):
     """Codepoint sets over a configurable range (default full Unicode)."""
-
-    def __init__(self, min_codepoint: int = 0, max_codepoint: int = MAX_CODEPOINT):
-        if not 0 <= min_codepoint <= max_codepoint <= MAX_CODEPOINT:
-            raise AlgebraError("invalid codepoint range")
-        self.min_codepoint = min_codepoint
-        self.max_codepoint = max_codepoint
 
     def bottom(self) -> IntervalSet:
         return IntervalSet(self, ())
@@ -366,7 +355,7 @@ class FcSet(SymbolSet):
     members: frozenset[str]  # the excluded symbols when cofinite
 
 
-class FiniteCofiniteAlgebra(Algebra):
+class FiniteCofiniteAlgebra(_CodepointAlgebra):
     """Explicit finite sets and their complements over a bounded universe.
 
     The universe bound only matters for ``pick_witness`` on cofinite sets
@@ -376,10 +365,7 @@ class FiniteCofiniteAlgebra(Algebra):
     """
 
     def __init__(self, min_codepoint: int = 0, max_codepoint: int = MAX_CODEPOINT):
-        if not 0 <= min_codepoint <= max_codepoint <= MAX_CODEPOINT:
-            raise AlgebraError("invalid codepoint range")
-        self.min_codepoint = min_codepoint
-        self.max_codepoint = max_codepoint
+        super().__init__(min_codepoint, max_codepoint)
         self.size = max_codepoint - min_codepoint + 1
         self.scan_steps = 0
 

@@ -27,10 +27,10 @@ from .alphabet import (
     FiniteCofiniteAlgebra,
     IntervalAlgebra,
 )
-from .containment import Checker, FuelExhausted, Verdict, membership
-from .derivative import deriv_literal, refines_next
+from .containment import DEFAULT_FUEL, Checker, FuelExhausted, Verdict, membership
+from .derivative import deriv_literal
 from .nextlit import next_literals
-from .oracle import MAX_ALPHABET, SliceOracle
+from .oracle import SliceOracle
 from .syntax import (
     ExprBuilder,
     ParseError,
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="bitset:<chars>, unicode, or cofinite (default: unicode)",
     )
-    common.add_argument("--fuel", type=int, default=1 << 20, metavar="N",
+    common.add_argument("--fuel", type=int, default=DEFAULT_FUEL, metavar="N",
                         help="visited-pair cap guarding against engine bugs")
     common.add_argument("--no-axioms", action="store_true",
                         help="disable the prove/disprove fast paths")
@@ -142,28 +142,9 @@ def _run(args: argparse.Namespace) -> int:
             print(f"raw-metrics {role}: size={raw_size(raw)} width={raw_width(raw)}")
         return builder.build(raw)
 
-    if args.command == "match":
-        word = unescape_word(args.word)
-        expr = parse_expr(args.expr, "expr")
-        matched = membership(builder, word, expr)
-        if args.oracle_check:
-            code = _oracle_check_match(builder, word, expr, matched)
-            if code is not None:
-                return code
-        print("MATCH" if matched else "NO-MATCH")
-        return EX_HOLDS if matched else EX_FAILS
-
     if args.command == "derive":
         expr = parse_expr(args.expr, "expr")
         by = parse_class_text(args.by, algebra)
-        if algebra.is_empty(by):
-            raise AlgebraError("cannot derive by the empty class")
-        if not refines_next(builder, by, expr):
-            partition = ", ".join(algebra.format_set(s) for s in next_literals(builder, expr))
-            raise AlgebraError(
-                f"class {args.by} does not refine the next-literal "
-                f"partition {{{partition}}}"
-            )
         print(to_text(deriv_literal(builder, by, expr)))
         return EX_HOLDS
 
@@ -172,6 +153,21 @@ def _run(args: argparse.Namespace) -> int:
         for literal in next_literals(builder, expr):
             print(algebra.format_set(literal))
         return EX_HOLDS
+
+    # The commands below cross-check their answers, so the oracle's
+    # prerequisites fail before anything is decided or printed.
+    oracle = _make_oracle(builder) if args.oracle_check else None
+
+    if args.command == "match":
+        word = unescape_word(args.word)
+        expr = parse_expr(args.expr, "expr")
+        matched = membership(builder, word, expr)
+        if oracle is not None:
+            code = _oracle_check_match(oracle, word, expr, matched)
+            if code is not None:
+                return code
+        print("MATCH" if matched else "NO-MATCH")
+        return EX_HOLDS if matched else EX_FAILS
 
     # check / equiv / trace
     lhs = parse_expr(args.lhs, "lhs")
@@ -201,25 +197,21 @@ def _run(args: argparse.Namespace) -> int:
     line = "HOLDS" if verdict.holds else f"FAILS witness={algebra.format_word(verdict.witness)}"
     print(line, file=sys.stderr if args.command == "trace" else sys.stdout)
 
-    if args.oracle_check:
-        code = _oracle_check_verdict(builder, lhs, rhs, verdict, args.command == "equiv")
+    if oracle is not None:
+        code = _oracle_check_verdict(oracle, lhs, rhs, verdict, args.command == "equiv")
         if code is not None:
             return code
     return EX_HOLDS if verdict.holds else EX_FAILS
 
 
 def _make_oracle(builder: ExprBuilder) -> SliceOracle:
-    algebra = builder.algebra
-    if not isinstance(algebra, BitsetAlgebra) or len(algebra.symbols) > MAX_ALPHABET:
-        raise AlgebraError(
-            "--oracle-check needs a bitset alphabet of at most "
-            f"{MAX_ALPHABET} symbols"
-        )
-    return SliceOracle(builder, ORACLE_LEN)
+    try:
+        return SliceOracle(builder, ORACLE_LEN)
+    except ValueError as exc:
+        raise AlgebraError(f"--oracle-check: {exc}") from exc
 
 
-def _oracle_check_match(builder, word, expr, matched: bool) -> Optional[int]:
-    oracle = _make_oracle(builder)
+def _oracle_check_match(oracle, word, expr, matched: bool) -> Optional[int]:
     if len(word) > ORACLE_LEN:
         return None
     if (word in oracle.slice(expr)) != matched:
@@ -228,8 +220,8 @@ def _oracle_check_match(builder, word, expr, matched: bool) -> Optional[int]:
     return None
 
 
-def _oracle_check_verdict(builder, lhs, rhs, verdict: Verdict, is_equiv: bool) -> Optional[int]:
-    oracle = _make_oracle(builder)
+def _oracle_check_verdict(oracle, lhs, rhs, verdict: Verdict, is_equiv: bool) -> Optional[int]:
+    builder = oracle.builder
     if verdict.holds:
         ok = oracle.equal(lhs, rhs) if is_equiv else oracle.subset(lhs, rhs)
     else:

@@ -35,15 +35,17 @@ DEFAULT_FUEL = 1 << 20
 Word = TypingUnion[str, tuple]
 TraceSink = Callable[[dict], None]
 
-TRACE_RULES = (
-    "disprove",
-    "cycle",
-    "unfold",
-    "prove-identity",
-    "prove-empty",
-    "prove-nullable",
-    "disprove-empty",
-)
+# Each rule of a trace, and the verdict it closes its pair with; ``unfold``
+# closes nothing, it opens the pair's branches.
+TRACE_RULES = {
+    "disprove": False,
+    "cycle": True,
+    "unfold": None,
+    "prove-identity": True,
+    "prove-empty": True,
+    "prove-nullable": True,
+    "disprove-empty": False,
+}
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,7 @@ def shortest_word(b: ExprBuilder, r: Ere, fuel: int = DEFAULT_FUEL) -> Optional[
 
 
 class Checker:
-    """Containment, equivalence, and membership over one expression builder.
+    """Containment and equivalence over one expression builder.
 
     A checker instance owns its builder's interning table and memo caches
     for the duration of a query; run concurrent queries on separate
@@ -254,21 +256,9 @@ class Checker:
         )
         return Verdict(backward.holds, backward.witness, stats)
 
-    def membership(self, word: Iterable, r: Ere) -> bool:
-        return membership(self.builder, word, r)
-
 
 # ---------------------------------------------------------------------------
 # Trace replay
-
-_TERMINAL_VERDICT = {
-    "disprove": False,
-    "disprove-empty": False,
-    "cycle": True,
-    "prove-identity": True,
-    "prove-empty": True,
-    "prove-nullable": True,
-}
 
 
 def replay_trace(events: Sequence[dict]) -> bool:
@@ -277,35 +267,44 @@ def replay_trace(events: Sequence[dict]) -> bool:
     An ``unfold`` event with a literal is followed by the sub-trace of that
     branch one level deeper; a null literal marks an unfolding with no
     branches.  The trace of a query must replay to the query's verdict.
+    One loop keeps a stack of the open unfoldings, so a deep trace costs
+    no recursion.
     """
     if not events:
         raise ValueError("empty trace")
-    verdict, idx = _replay_at(events, 0, 0)
-    if idx != len(events):
-        raise ValueError(f"trailing trace events at index {idx}")
-    return verdict
-
-
-def _replay_at(events: Sequence[dict], i: int, depth: int) -> tuple[bool, int]:
-    event = events[i]
-    if event["depth"] != depth:
-        raise ValueError(f"trace event at index {i} has unexpected depth")
-    rule = event["rule"]
-    if rule != "unfold":
-        return _TERMINAL_VERDICT[rule], i + 1
-    pair = (event["lhs"], event["rhs"])
-    verdict = True
-    while (
-        i < len(events)
-        and events[i]["depth"] == depth
-        and events[i]["rule"] == "unfold"
-        and (events[i]["lhs"], events[i]["rhs"]) == pair
-    ):
-        literal = events[i]["literal"]
-        i += 1
-        if literal is None:
-            continue
-        verdict, i = _replay_at(events, i, depth + 1)
-        if not verdict:
+    pairs: list[tuple] = []  # the pair of each open unfolding, outermost first
+    i = 0
+    while True:
+        # Replay the event at ``i``, one level below the open unfoldings.
+        if i == len(events):
+            raise ValueError("trace ends inside an unfolding")
+        event = events[i]
+        if event["depth"] != len(pairs):
+            raise ValueError(f"trace event at index {i} has unexpected depth")
+        verdict = TRACE_RULES[event["rule"]]
+        if verdict is None:
+            pairs.append((event["lhs"], event["rhs"]))
+            verdict = True
+        else:
+            i += 1
+        # Step the innermost unfolding through its events until one opens a
+        # branch; a false verdict closes every open unfolding.
+        while pairs:
+            if (
+                verdict
+                and i < len(events)
+                and events[i]["depth"] == len(pairs) - 1
+                and events[i]["rule"] == "unfold"
+                and (events[i]["lhs"], events[i]["rhs"]) == pairs[-1]
+            ):
+                literal = events[i]["literal"]
+                i += 1
+                if literal is not None:
+                    break
+            else:
+                pairs.pop()
+        else:
             break
-    return verdict, i
+    if i != len(events):
+        raise ValueError(f"trailing trace events at index {i}")
+    return verdict

@@ -7,7 +7,8 @@ the symbol derivatives over A, the negative derivative under-approximates
 their intersection, and the two operators swap places under complement.
 On a literal taken from an expression's next-literal partition they agree
 exactly, because such a literal refines every literal the operators reach
-(see ``nextlit``); that is what ``deriv_literal`` relies on.
+(see ``nextlit``); that is what ``deriv_literal`` relies on, and it checks
+that precondition on every call, raising ``AlgebraError`` when it fails.
 
 All three are one memoized walker over a probe: ``"sym"`` with a symbol,
 ``"pos"`` or ``"neg"`` with a non-empty set.  The probes differ only at a
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .alphabet import SymbolSet
+from .alphabet import AlgebraError, SymbolSet
 from .nextlit import _combine, minterms, next_literals
 from .syntax import And, Concat, Epsilon, Ere, ExprBuilder, Literal, Not, Star, Union
 
@@ -131,19 +132,22 @@ def deriv_literal(b: ExprBuilder, a_set: SymbolSet, r: Ere) -> Ere:
     literal inside one member of the partition it also equals both
     set-level derivatives.  On a literal that misses every member it need
     not: by ``.`` over ``ab``, every symbol derivative of ``a&b`` is ``[]``
-    but the positive derivative is ``()``.  The refinement
-    precondition is the caller's obligation and is verified on every call
-    when assertions are enabled.  The checker does not call this: it reads
-    each class's witness from ``nextlit.pair_classes``, whose classes meet
-    the same precondition by construction.
+    but the positive derivative is ``()``.  The precondition is checked on
+    every call: an empty literal, or one that does not refine the
+    partition, raises ``AlgebraError``.  The checker does not call this: it
+    reads each class's witness from ``nextlit.pair_classes``, whose classes
+    meet the same precondition by construction.
     """
-    if b.algebra.is_empty(a_set):
-        raise ValueError("cannot take a derivative by the empty literal")
-    assert refines_next(b, a_set, r), (
-        f"literal {b.algebra.format_set(a_set)} does not refine the "
-        f"next-literal partition of the expression"
-    )
-    return deriv_symbol(b, b.algebra.pick_witness(a_set), r)
+    alg = b.algebra
+    if alg.is_empty(a_set):
+        raise AlgebraError("cannot derive by the empty class")
+    if not refines_next(b, a_set, r):
+        partition = ", ".join(alg.format_set(s) for s in next_literals(b, r))
+        raise AlgebraError(
+            f"class {alg.format_set(a_set)} does not refine the next-literal "
+            f"partition {{{partition}}}"
+        )
+    return deriv_symbol(b, alg.pick_witness(a_set), r)
 
 
 def refines_next(b: ExprBuilder, a_set: SymbolSet, r: Ere) -> bool:

@@ -69,8 +69,9 @@ def join(alg: Algebra, left: Partition, right: Partition) -> Partition:
 
 
 def left_join(alg: Algebra, left: Partition, right: Partition) -> Partition:
-    """Refinement covering exactly the union of the left side."""
-    return canonical_partition(alg, (p for p, _, _ in _left_pieces(alg, left, right)))
+    """Refinement covering exactly the union of the left side: the classes
+    of ``witnessed_left_join``."""
+    return tuple(c for c, _, _, _ in witnessed_left_join(alg, left, right))
 
 
 def _left_pieces(alg: Algebra, left: Partition, right: Partition) -> list[_Piece]:
@@ -200,7 +201,8 @@ def pair_classes(b: ExprBuilder, r: Ere, s: Ere) -> tuple[Branch, ...]:
 
 
 def witnessed_left_join(alg: Algebra, left: Partition, right: Partition) -> tuple[Branch, ...]:
-    """Each class of ``left_join(alg, left, right)`` as ``(class, witness, i, j)``.
+    """The non-empty pieces of ``left`` cut by ``right``, ordered by their
+    least symbols, each as ``(class, witness, i, j)``.
 
     ``left[i]`` holds the class, and so does ``right[j]``, or ``j`` is -1
     when the class misses ``right``'s coverage.  On next-literal partitions

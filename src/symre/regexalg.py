@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .alphabet import Algebra, AlgebraError, BitsetAlgebra, SymbolSet, escape_char
-from .containment import Checker, FuelExhausted, shortest_word
+from .containment import Checker, FuelExhausted, membership, shortest_word
 from .syntax import Ere, ExprBuilder, to_text
 
 
@@ -88,7 +88,7 @@ class RegexAlgebra(Algebra):
 
     def contains(self, a: RegexSet, symbol: str) -> bool:
         self._own(a)
-        return self._checker.membership(symbol, a.expr)
+        return membership(self.inner, symbol, a.expr)
 
     def pick_witness(self, a: RegexSet) -> str:
         self._own(a)

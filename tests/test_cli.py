@@ -162,8 +162,19 @@ def test_oracle_check_confirms(capsys):
 
 
 def test_oracle_check_needs_small_bitset(capsys):
-    code, _, err = run(capsys, "check", "--oracle-check", "a", "a|b")
-    assert code == 2 and "oracle-check" in err
+    # the oracle is built before deciding, so no verdict is printed
+    for argv in (
+        ["check", "--oracle-check", "a", "a|b"],
+        ["equiv", "--oracle-check", "a", "a|b"],
+        ["trace", "--oracle-check", "a", "a|b"],
+        ["match", "--oracle-check", "a", "a|b"],
+        ["check", "--alphabet", "bitset:abcdefghij", "--oracle-check", "a", "a|b"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and "oracle-check" in err, argv
+    # next and derive cross-check nothing, so any alphabet will do
+    assert run(capsys, "next", "--oracle-check", "a")[:2] == (0, "a\n")
+    assert run(capsys, "derive", "--oracle-check", "--by", "a", "ab")[:2] == (0, "b\n")
 
 
 # -- errors and metrics --------------------------------------------------------------------

@@ -15,7 +15,7 @@ from symre.containment import (
 )
 from symre.derivative import deriv_symbol, neg_deriv, pos_deriv
 from symre.oracle import SliceOracle
-from symre.syntax import ExprBuilder
+from symre.syntax import MAX_NESTING, ExprBuilder, to_text
 
 from exprgen import random_raw
 
@@ -142,6 +142,10 @@ def test_shortest_word_fuel_exhaustion_is_an_error(b):
             "trailing trace events at index 1",
         ),
         ([{"rule": "cycle", "depth": 1}], "trace event at index 0 has unexpected depth"),
+        (
+            [{"rule": "unfold", "lhs": "a", "rhs": "b", "literal": "a", "depth": 0}],
+            "trace ends inside an unfolding",
+        ),
     ],
 )
 def test_replay_trace_rejects_malformed_traces(events, message):
@@ -193,6 +197,23 @@ def test_trace_replay_matches_verdict_on_random_pairs():
         events = []
         verdict = Checker(b, trace=events.append).check(r, s)
         assert replay_trace(events) == verdict.holds
+
+
+def _render_by_eid(monkeypatch):
+    # An eid names a node as exactly as its text does, and keeps the trace of
+    # a long expression linear in the number of events.
+    monkeypatch.setattr(containment, "to_text", lambda r: str(r.eid))
+
+
+@pytest.mark.parametrize("rhs,holds", [("[ab]*", True), ("[ab]*a", False)])
+def test_deep_traces_replay_to_their_verdicts(monkeypatch, rhs, holds):
+    _render_by_eid(monkeypatch)
+    b = ExprBuilder(BitsetAlgebra("ab"))
+    events = []
+    verdict = Checker(b, trace=events.append).check(b.parse("ab" * 2500), b.parse(rhs))
+    assert verdict.holds == holds
+    assert len(events) == 5001 and events[-1]["depth"] == 5000
+    assert replay_trace(events) == holds
 
 
 # -- equivalence --------------------------------------------------------------------
@@ -268,6 +289,40 @@ def test_long_chains_of_nullable_heads_get_answers():
     verdict = Checker(b).check(b.parse("a*" * 600), b.parse("a*"))
     assert verdict.holds and verdict.stats.visited == 3
     assert shortest_word(b, b.parse("(a|())" * 500 + "b")) == ("b",)
+
+
+def _ab_word(i):
+    return format(i, "b").replace("0", "a").replace("1", "b")
+
+
+NO_RECURSION_PROBES = [
+    ("!a" * 2000, "()"),
+    ("(a|b)" * 2000, "[ab]*"),
+    ("(a|())" * 800, "()"),
+    ("a*" * 1500, "[ab]*"),
+    ("[ab]*" * 1500, "[ab]*"),
+    ("|".join(_ab_word(i) for i in range(1, 3001)), "[ab]*"),
+    ("&".join(_ab_word(i) for i in range(1, 3001)), "[ab]*"),
+    ("!(" * (MAX_NESTING - 1) + "a" + ")" * (MAX_NESTING - 1), "[ab]*"),
+]
+
+
+def test_no_layer_recurses_per_factor_or_member(monkeypatch):
+    # long chains, wide unions and intersections, and the deepest nesting
+    # the parser accepts, through the checker, its trace, the renderer and
+    # the emptiness search
+    _render_by_eid(monkeypatch)
+    for text, rhs in NO_RECURSION_PROBES:
+        b = ExprBuilder(BitsetAlgebra("ab"))
+        r, s = b.parse(text), b.parse(rhs)
+        events = []
+        verdict = Checker(b, trace=events.append).check(r, s)
+        assert replay_trace(events) == verdict.holds, text[:20]
+        if not verdict.holds:
+            assert membership(b, verdict.witness, r) and not membership(b, verdict.witness, s)
+        assert b.parse(to_text(r)) is r, text[:20]
+        word = shortest_word(b, r)
+        assert word is None or membership(b, word, r), text[:20]
 
 
 @settings(max_examples=10)

@@ -5,13 +5,15 @@ Usage: python tools/code_lines.py PATH...
 Each PATH is a ``.py`` file or a directory searched recursively.  Prints one
 line per file, then the total.  A line counts when some token other than a
 comment or a docstring lies on it; a token spanning several lines, such as
-a multi-line string that is not a docstring, counts every line it spans.
+a multi-line string that is not a docstring, counts every line it spans.  A
+reader that closes the pipe early, as ``| head`` does, ends the run quietly.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -76,4 +78,12 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        status = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early, as ``| head`` does; point stdout at the
+        # null device so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 0
+    sys.exit(status)
