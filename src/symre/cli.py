@@ -35,9 +35,7 @@ from .syntax import (
     ExprBuilder,
     ParseError,
     parse_class_text,
-    parse_raw,
-    raw_size,
-    raw_width,
+    parse_with_metrics,
     to_text,
     unescape_word,
 )
@@ -137,10 +135,10 @@ def _run(args: argparse.Namespace) -> int:
     builder = ExprBuilder(algebra)
 
     def parse_expr(text: str, role: str):
-        raw = parse_raw(text, algebra)
+        expr, size, width = parse_with_metrics(text, builder)
         if args.raw_metrics:
-            print(f"raw-metrics {role}: size={raw_size(raw)} width={raw_width(raw)}")
-        return builder.build(raw)
+            print(f"raw-metrics {role}: size={size} width={width}")
+        return expr
 
     if args.command == "derive":
         expr = parse_expr(args.expr, "expr")

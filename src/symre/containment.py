@@ -156,7 +156,6 @@ class Checker:
         alg = b.algebra
         bottom = b.bottom()
         assumed: set[tuple[int, int]] = set()
-        path: list = []  # witness symbols along the current path, cut to a frame's depth
         frames: list[list] = []  # [lhs, rhs, branches, next branch] per unfolded pair
         visited = max_depth = 0
 
@@ -229,8 +228,6 @@ class Checker:
             frame[3] += 1
             a_set, a, _, j = todo[idx]
             emit("unfold", lhs, rhs, a_set, depth)
-            del path[depth:]
-            path.append(a)
             dl = deriv_symbol(b, a, lhs)
             dr = deriv_symbol(b, a, rhs) if j >= 0 else bottom
             tail = visit(dl, dr, depth + 1)
@@ -238,7 +235,10 @@ class Checker:
         stats = CheckStats(visited, max_depth)
         if tail is None:
             return Verdict(True, None, stats)
-        return Verdict(False, alg.word_of(tuple(path) + tuple(tail)), stats)
+        # The failing path spells the witness's prefix: the witness symbol of
+        # each open frame's current branch.
+        prefix = tuple(branches[nxt - 1][1] for _, _, branches, nxt in frames)
+        return Verdict(False, alg.word_of(prefix + tuple(tail)), stats)
 
     def equivalent(self, r: Ere, s: Ere) -> Verdict:
         """Decide language equality as containment in both directions.

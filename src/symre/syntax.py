@@ -22,30 +22,6 @@ from typing import Callable, Optional
 
 from .alphabet import Algebra, AlgebraError, SymbolSet
 
-# Raw (pre-normalization) parse trees, kept around for metrics on the
-# expression as written: ("eps",) | ("lit", SymbolSet) | ("star", raw) |
-# ("not", raw) | ("union"|"concat"|"and", raw, raw).
-RawExpr = tuple
-
-# Marks a pending constructor call on ``ExprBuilder.build``'s work stack.
-_APPLY = object()
-
-
-def _chain_operands(raw: RawExpr) -> list[RawExpr]:
-    """The operands of the maximal chain of ``raw``'s binary operator, in
-    source order, however the chain is parenthesized."""
-    tag = raw[0]
-    operands: list[RawExpr] = []
-    stack = [raw]
-    while stack:
-        node = stack.pop()
-        if node[0] == tag:
-            stack += (node[2], node[1])
-        else:
-            operands.append(node)
-    return operands
-
-
 class Ere:
     """A normalized expression node; equality and hashing are by identity."""
 
@@ -252,62 +228,9 @@ class ExprBuilder:
             return r.inner
         return self._intern(("not", r.eid), Not, r, nullable=not r.nullable)
 
-    def build(self, raw: RawExpr) -> Ere:
-        """Fold a raw parse tree through the normalizing constructors.
-
-        One pass with an explicit stack, so the depth of ``raw`` costs no
-        recursion.  A chain of one binary operator is folded as a whole: its
-        operands are built in source order, a ``concat`` chain is then joined
-        from the right (each step O(1), as the right part already leans
-        right), and a ``union`` or ``and`` chain goes to one n-ary call, so
-        no intermediate node is interned.  An n-symbol word costs O(n).
-        A raw literal shared by several leaves (the parser makes one per
-        distinct character) is interned once, then found by identity.
-        """
-        todo: list = [raw]  # raw trees, and ``(_APPLY, tag, arity)`` steps
-        done: list[Ere] = []  # built operands, in source order
-        push, emit = todo.append, done.append
-        lits: dict[int, Ere] = {}  # id of a raw literal -> its node; ``raw`` keeps it alive
-        while todo:
-            item = todo.pop()
-            tag = item[0]
-            if tag == "lit":
-                node = lits.get(id(item))
-                if node is None:
-                    node = lits[id(item)] = self.literal(item[1])
-                emit(node)
-            elif tag is _APPLY:
-                _, tag, arity = item
-                args = done[-arity:]
-                del done[-arity:]
-                if tag == "concat":
-                    node = args.pop()
-                    while args:
-                        node = self.concat(args.pop(), node)
-                elif tag == "union":
-                    node = self.union(*args)
-                elif tag == "and":
-                    node = self.and_(*args)
-                elif tag == "star":
-                    node = self.star(args[0])
-                else:
-                    node = self.not_(args[0])
-                emit(node)
-            elif tag in ("concat", "union", "and"):
-                operands = _chain_operands(item)
-                push((_APPLY, tag, len(operands)))
-                todo.extend(reversed(operands))
-            elif tag in ("star", "not"):
-                push((_APPLY, tag, 1))
-                push(item[1])
-            elif tag == "eps":
-                emit(self.epsilon())
-            else:
-                raise ValueError(f"unknown raw tag {tag!r}")
-        return done[0]
-
     def parse(self, text: str) -> Ere:
-        return self.build(parse_raw(text, self.algebra))
+        """The node of ``text`` in the concrete syntax."""
+        return parse_with_metrics(text, self)[0]
 
 
 def _occurrences(r: Ere):
@@ -339,48 +262,36 @@ def width(r: Ere) -> int:
     return sum(isinstance(n, Literal) for n in _occurrences(r))
 
 
-def _raw_occurrences(raw: RawExpr):
-    stack = [raw]
-    while stack:
-        node = stack.pop()
-        yield node
-        if node[0] != "lit":
-            stack.extend(node[1:])
-
-
-def raw_size(raw: RawExpr) -> int:
-    return sum(1 for _ in _raw_occurrences(raw))
-
-
-def raw_width(raw: RawExpr) -> int:
-    return sum(node[0] == "lit" for node in _raw_occurrences(raw))
-
-
 # ---------------------------------------------------------------------------
 # Concrete syntax
 #
-#   expr  := alt
-#   alt   := and ('|' and)*
-#   and   := cat ('&' cat)*
-#   cat   := neg+
-#   neg   := '!' neg | post
-#   post  := atom '*'*
-#   atom  := '(' expr? ')' | class | char | '.'
-#   class := '[' '^'? items ']'
+#   expr   := alt
+#   alt    := and ('|' and)*
+#   and    := cat ('&' cat)*
+#   cat    := factor+
+#   factor := '!'* atom '*'*
+#   atom   := '(' expr? ')' | class | char | '.'
+#   class  := '[' '^'? items ']'
 #
 # '()' is the empty word, '[]' the empty set, '.' the full alphabet.
 # Postfix '*' binds tightest, then prefix '!', then juxtaposition, then
 # '&', then '|'; so  !a*  is  !(a*)  and  a|b&c  is  a|(b&c).
 #
-# A plain character (a bare char atom, not a backslash escape, with no '*'
-# after it) is read by ``_cat``'s own loop, without the descent through ``neg``,
-# ``post`` and ``atom``; and one parse makes one raw literal per distinct
-# character, so a word costs about one dict lookup per symbol.
+# The parser calls the builder's constructors as it reads, so text becomes
+# interned nodes in one pass: the operands of a '|' or '&' chain go to one
+# n-ary call, and a concatenation's factors are folded from the right.  A
+# plain character (a bare char atom, not a backslash escape, with no '*'
+# after it) is read by ``_cat``'s own loop, without the descent through
+# ``factor`` and ``atom``; and one parse makes one literal node per distinct
+# character, so a word costs about one dict lookup per symbol besides its
+# concatenation node.  The parser also counts the atoms, stars and bangs,
+# for the size and width of the expression as written.
 
 
 # The deepest parenthesis nesting the parser accepts.  Each level costs the
-# recursive-descent parser about six Python frames, so this keeps a parse
-# well inside the interpreter's default recursion limit.
+# recursive-descent parser five Python frames (``_alt``, ``_and``, ``_cat``,
+# ``_factor`` and ``_atom``), so this keeps a parse well inside the
+# interpreter's default recursion limit.
 MAX_NESTING = 100
 
 
@@ -402,18 +313,21 @@ def _char_set(algebra: Algebra, c: str) -> SymbolSet:
 
 
 class _Scanner:
-    def __init__(self, text: str, algebra: Algebra):
+    def __init__(self, text: str, algebra: Algebra, builder: Optional[ExprBuilder] = None):
         self.text = text
         self.pos = 0
         self.algebra = algebra
+        self.builder = builder
         self.depth = 0  # open parentheses around the current position
-        self.lits: dict[str, RawExpr] = {}  # character -> its raw literal
+        self.lits: dict[str, Ere] = {}  # character -> its literal node
+        # Atoms and unary operators read so far, for the as-written metrics.
+        self.literals = self.epsilons = self.unary = 0
 
-    def char_lit(self, c: str) -> RawExpr:
-        """The raw literal of ``c``, made once per parse and then shared."""
+    def char_literal(self, c: str) -> Ere:
+        """The literal node of ``c``, made once per parse and then shared."""
         lit = self.lits.get(c)
         if lit is None:
-            lit = self.lits[c] = ("lit", _char_set(self.algebra, c))
+            lit = self.lits[c] = self.builder.literal(_char_set(self.algebra, c))
         return lit
 
     def peek(self) -> str | None:
@@ -457,13 +371,19 @@ class _Scanner:
         return chr(cp)
 
 
-def parse_raw(text: str, algebra: Algebra) -> RawExpr:
-    """Parse the concrete syntax into a raw tree; no normalization applied."""
-    sc = _Scanner(text, algebra)
-    raw = _alt(sc)
+def parse_with_metrics(text: str, builder: ExprBuilder) -> tuple[Ere, int, int]:
+    """The node of ``text``, with the size and width of the expression as
+    written: its nodes before normalization and its literal atoms.
+
+    Every binary operator joins two subtrees, so the size is twice the
+    number of leaves (literal and ``()`` atoms), less one, plus the number
+    of ``*`` and ``!``.
+    """
+    sc = _Scanner(text, builder.algebra, builder)
+    node = _alt(sc)
     if sc.peek() is not None:
         raise ParseError(f"unexpected {sc.peek()!r}", sc.pos)
-    return raw
+    return node, 2 * (sc.literals + sc.epsilons) - 1 + sc.unary, sc.literals
 
 
 def parse_class_text(text: str, algebra: Algebra) -> SymbolSet:
@@ -493,57 +413,63 @@ def unescape_word(text: str) -> str:
     return "".join(out)
 
 
-def _alt(sc: _Scanner) -> RawExpr:
-    raw = _and(sc)
+def _alt(sc: _Scanner) -> Ere:
+    parts = [_and(sc)]
     while sc.peek() == "|":
         sc.take()
-        raw = ("union", raw, _and(sc))
-    return raw
+        parts.append(_and(sc))
+    return sc.builder.union(*parts) if len(parts) > 1 else parts[0]
 
 
-def _and(sc: _Scanner) -> RawExpr:
-    raw = _cat(sc)
+def _and(sc: _Scanner) -> Ere:
+    parts = [_cat(sc)]
     while sc.peek() == "&":
         sc.take()
-        raw = ("and", raw, _cat(sc))
-    return raw
+        parts.append(_cat(sc))
+    return sc.builder.and_(*parts) if len(parts) > 1 else parts[0]
 
 
-def _cat(sc: _Scanner) -> RawExpr:
-    """A left-nested concatenation of factors.  A plain character is read
-    here from the text, as its shared raw literal; any other factor goes
-    down through ``_neg``."""
+def _cat(sc: _Scanner) -> Ere:
+    """A concatenation, folded from the right: the part already folded leans
+    right, so each ``concat`` step costs O(1) unless its factor is itself a
+    concatenation.  A plain character is read here from the text, as the
+    parse's literal node of that character; any other factor goes down
+    through ``_factor``."""
     text, end = sc.text, len(sc.text)
-    raw = _neg(sc)
+    factors = [_factor(sc)]
     while (pos := sc.pos) < end and (c := text[pos]) not in _ATOM_STOP:
         if c in _ATOM_OPEN or text[pos + 1 : pos + 2] == "*":
-            raw = ("concat", raw, _neg(sc))
+            factors.append(_factor(sc))
         else:
             sc.pos = pos + 1
-            raw = ("concat", raw, sc.char_lit(c))
-    return raw
+            sc.literals += 1
+            factors.append(sc.char_literal(c))
+    concat = sc.builder.concat
+    node = factors.pop()
+    while factors:
+        node = concat(factors.pop(), node)
+    return node
 
 
-def _neg(sc: _Scanner) -> RawExpr:
-    count = 0
+def _factor(sc: _Scanner) -> Ere:
+    """An atom under its postfix stars, then its prefix bangs."""
+    b = sc.builder
+    bangs = 0
     while sc.peek() == "!":
         sc.take()
-        count += 1
-    raw = _post(sc)
-    for _ in range(count):
-        raw = ("not", raw)
-    return raw
-
-
-def _post(sc: _Scanner) -> RawExpr:
-    raw = _atom(sc)
+        bangs += 1
+    node = _atom(sc)
     while sc.peek() == "*":
         sc.take()
-        raw = ("star", raw)
-    return raw
+        sc.unary += 1
+        node = b.star(node)
+    sc.unary += bangs
+    for _ in range(bangs):
+        node = b.not_(node)
+    return node
 
 
-def _atom(sc: _Scanner) -> RawExpr:
+def _atom(sc: _Scanner) -> Ere:
     c = sc.peek()
     if c is None or c in _ATOM_STOP:
         raise ParseError("expected an expression atom", sc.pos)
@@ -553,18 +479,20 @@ def _atom(sc: _Scanner) -> RawExpr:
         sc.take()
         if sc.peek() == ")":
             sc.take()
-            return ("eps",)
+            sc.epsilons += 1
+            return sc.builder.epsilon()
         sc.depth += 1
-        raw = _alt(sc)
+        node = _alt(sc)
         sc.depth -= 1
         sc.expect(")")
-        return raw
+        return node
+    sc.literals += 1
     if c == "[":
-        return ("lit", _class(sc))
+        return sc.builder.literal(_class(sc))
     if c == ".":
         sc.take()
-        return ("lit", sc.algebra.top())
-    return sc.char_lit(sc.char())
+        return sc.builder.literal(sc.algebra.top())
+    return sc.char_literal(sc.char())
 
 
 def _class(sc: _Scanner) -> SymbolSet:
@@ -603,18 +531,23 @@ _LEVEL_ALT, _LEVEL_AND, _LEVEL_CAT, _LEVEL_NEG, _LEVEL_POST, _LEVEL_ATOM = 0, 1,
 
 def to_text(r: Ere) -> str:
     """Render a normalized tree in the concrete syntax (parse round-trips)."""
-    return _render(r, _LEVEL_ALT)
+    return _render(r, _LEVEL_ALT, {})
 
 
-def _render(r: Ere, level: int) -> str:
+def _render(r: Ere, level: int, lits: dict) -> str:
+    """``r`` at precedence ``level``; ``lits`` maps each literal rendered so
+    far to its text, so a literal is formatted once per call of ``to_text``."""
     if isinstance(r, Epsilon):
         return "()"
     if isinstance(r, Literal):
-        return r.symbols.algebra.format_set(r.symbols)
+        text = lits.get(r)
+        if text is None:
+            text = lits[r] = r.symbols.algebra.format_set(r.symbols)
+        return text
     if isinstance(r, Union):
-        text, own = "|".join(_render(m, _LEVEL_AND) for m in r.members), _LEVEL_ALT
+        text, own = "|".join(_render(m, _LEVEL_AND, lits) for m in r.members), _LEVEL_ALT
     elif isinstance(r, And):
-        text, own = "&".join(_render(m, _LEVEL_CAT) for m in r.members), _LEVEL_AND
+        text, own = "&".join(_render(m, _LEVEL_CAT, lits) for m in r.members), _LEVEL_AND
     elif isinstance(r, Concat):
         chain = []
         node: Ere = r
@@ -622,11 +555,11 @@ def _render(r: Ere, level: int) -> str:
             chain.append(node.head)
             node = node.tail
         chain.append(node)
-        text, own = "".join(_render(m, _LEVEL_NEG) for m in chain), _LEVEL_CAT
+        text, own = "".join(_render(m, _LEVEL_NEG, lits) for m in chain), _LEVEL_CAT
     elif isinstance(r, Not):
-        text, own = "!" + _render(r.inner, _LEVEL_NEG), _LEVEL_NEG
+        text, own = "!" + _render(r.inner, _LEVEL_NEG, lits), _LEVEL_NEG
     elif isinstance(r, Star):
-        text, own = _render(r.inner, _LEVEL_ATOM) + "*", _LEVEL_POST
+        text, own = _render(r.inner, _LEVEL_ATOM, lits) + "*", _LEVEL_POST
     else:
         raise TypeError(r)
     if own < level:

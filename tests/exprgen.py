@@ -5,7 +5,10 @@ from __future__ import annotations
 import random
 
 from symre.alphabet import BitsetAlgebra
-from symre.syntax import ExprBuilder, RawExpr
+
+# Raw trees, the expressions as written: ("eps",) | ("lit", SymbolSet) |
+# ("star", raw) | ("not", raw) | ("union"|"concat"|"and", raw, raw).
+RawExpr = tuple
 
 DEFAULT_WEIGHTS = {
     "lit": 4,
@@ -60,13 +63,20 @@ def random_raw(
     )
 
 
-def random_ere(
-    rng: random.Random,
-    builder: ExprBuilder,
-    budget: int,
-    weights: dict[str, int] = DEFAULT_WEIGHTS,
-):
-    return builder.build(random_raw(rng, builder.algebra, budget, weights))
+def raw_text(raw: RawExpr) -> str:
+    """The text of ``raw`` with every operator parenthesized, so the parser
+    applies one constructor per operator of the tree, in the tree's shape."""
+    tag = raw[0]
+    if tag == "eps":
+        return "()"
+    if tag == "lit":
+        return raw[1].algebra.format_set(raw[1])
+    if tag == "star":
+        return f"({raw_text(raw[1])})*"
+    if tag == "not":
+        return f"!({raw_text(raw[1])})"
+    op = {"union": "|", "concat": "", "and": "&"}[tag]
+    return f"({raw_text(raw[1])}{op}{raw_text(raw[2])})"
 
 
 def has_extended_ops(raw: RawExpr) -> bool:

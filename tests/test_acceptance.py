@@ -17,7 +17,14 @@ from symre.nextlit import join, left_join, next_literals, partition_union
 from symre.oracle import SliceOracle
 from symre.syntax import ExprBuilder, parse_class_text, size, width
 
-from exprgen import C3_WEIGHTS, has_extended_ops, random_partition, random_raw, random_set
+from exprgen import (
+    C3_WEIGHTS,
+    has_extended_ops,
+    random_partition,
+    random_raw,
+    random_set,
+    raw_text,
+)
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> bool:
@@ -40,7 +47,7 @@ def c3_data():
         (random_raw(rng, alg, 10, C3_WEIGHTS), random_raw(rng, alg, 10, C3_WEIGHTS))
         for _ in range(1000)
     ]
-    pairs = [(b.build(r), b.build(s)) for r, s in raws]
+    pairs = [(b.parse(raw_text(r)), b.parse(raw_text(s))) for r, s in raws]
     return b, raws, pairs, SliceOracle(b, 8)
 
 
@@ -238,7 +245,7 @@ def c5_corpus():
     alg = BitsetAlgebra("ab")
     b = ExprBuilder(alg)
     rng = random.Random(0xC5)
-    exprs = [b.build(random_raw(rng, alg, 8)) for _ in range(1000)]
+    exprs = [b.parse(raw_text(random_raw(rng, alg, 8))) for _ in range(1000)]
     return b, exprs, SliceOracle(b, 6)
 
 
@@ -318,7 +325,7 @@ def test_criterion_6_inclusions_for_arbitrary_literals():
     rng = random.Random(0xC6)
     start = time.perf_counter()
     for _ in range(1000):
-        r = b.build(random_raw(rng, alg, 8))
+        r = b.parse(raw_text(random_raw(rng, alg, 8)))
         a_set = random_set(rng, alg)
         members = alg.members(a_set)
         pos_slice = oracle.slice(pos_deriv(b, a_set, r))

@@ -17,7 +17,7 @@ from symre.derivative import deriv_symbol, neg_deriv, pos_deriv
 from symre.oracle import SliceOracle
 from symre.syntax import MAX_NESTING, ExprBuilder, to_text
 
-from exprgen import random_raw
+from exprgen import random_raw, raw_text
 
 
 @pytest.fixture
@@ -163,8 +163,8 @@ def test_random_verdicts_agree_with_slices():
     oracle = SliceOracle(b, 8)
     rng = random.Random(41)
     for _ in range(300):
-        r = b.build(random_raw(rng, alg, 10))
-        s = b.build(random_raw(rng, alg, 10))
+        r = b.parse(raw_text(random_raw(rng, alg, 10)))
+        s = b.parse(raw_text(random_raw(rng, alg, 10)))
         verdict = chk.check(r, s)
         if verdict.holds:
             assert oracle.subset(r, s)
@@ -178,7 +178,7 @@ def test_modes_agree_on_random_pairs():
     b = ExprBuilder(alg)
     rng = random.Random(42)
     pairs = [
-        (b.build(random_raw(rng, alg, 10)), b.build(random_raw(rng, alg, 10)))
+        (b.parse(raw_text(random_raw(rng, alg, 10))), b.parse(raw_text(random_raw(rng, alg, 10))))
         for _ in range(300)
     ]
     default = [Checker(b).check(r, s).holds for r, s in pairs]
@@ -192,8 +192,8 @@ def test_trace_replay_matches_verdict_on_random_pairs():
     b = ExprBuilder(alg)
     rng = random.Random(43)
     for _ in range(300):
-        r = b.build(random_raw(rng, alg, 9))
-        s = b.build(random_raw(rng, alg, 9))
+        r = b.parse(raw_text(random_raw(rng, alg, 9)))
+        s = b.parse(raw_text(random_raw(rng, alg, 9)))
         events = []
         verdict = Checker(b, trace=events.append).check(r, s)
         assert replay_trace(events) == verdict.holds
@@ -371,14 +371,14 @@ def test_shortest_word(b):
     chk = Checker(warm)
     rng = random.Random(44)
     raws = [random_raw(rng, alg, 10) for _ in range(600)]
-    exprs = [warm.build(raw) for raw in raws]
+    exprs = [warm.parse(raw_text(raw)) for raw in raws]
     for r, s in zip(exprs[::2], exprs[1::2]):
         chk.check(r, s)
         chk.check(r, warm.bottom())
     assert warm.word_cache
     for raw, r in zip(raws, exprs):
         fresh = ExprBuilder(alg)
-        assert shortest_word(warm, r) == shortest_word(fresh, fresh.build(raw))
+        assert shortest_word(warm, r) == shortest_word(fresh, fresh.parse(raw_text(raw)))
 
 
 def test_emptiness_cost_is_linear_in_visited_pairs(b, monkeypatch):

@@ -15,7 +15,7 @@ from symre.nextlit import next_literals, partition_union
 from symre.oracle import SliceOracle
 from symre.syntax import And, Concat, ExprBuilder, Literal, Not, Star, Union, to_text
 
-from exprgen import random_raw, random_set
+from exprgen import random_raw, random_set, raw_text
 
 N = 6
 
@@ -96,7 +96,7 @@ def test_singleton_sets_agree_with_symbol_derivative(two):
     rng = random.Random(21)
     singleton = two.algebra.from_chars("a")
     for _ in range(1000):
-        r = two.build(random_raw(rng, two.algebra, 8))
+        r = two.parse(raw_text(random_raw(rng, two.algebra, 8)))
         expected = deriv_symbol(two, "a", r)
         assert pos_deriv(two, singleton, r) is expected
         assert neg_deriv(two, singleton, r) is expected
@@ -180,7 +180,7 @@ def test_symbol_derivative_interns_as_the_recursion_does():
         raws = [random_raw(rng, alg, 12) for _ in range(300)]
         looped, recursive, memo = ExprBuilder(alg), ExprBuilder(alg), {}
         for raw in raws:
-            todo = [(looped.build(raw), recursive.build(raw))]
+            todo = [(looped.parse(raw_text(raw)), recursive.parse(raw_text(raw)))]
             for _ in range(3):
                 todo = [
                     (deriv(looped, x, r), _recursive_deriv(recursive, kind, x, s, memo))
@@ -226,7 +226,7 @@ def test_word_inclusion_bounded(two):
     oracle = SliceOracle(two, 5)
     rng = random.Random(22)
     for _ in range(200):
-        r = two.build(random_raw(rng, two.algebra, 8))
+        r = two.parse(raw_text(random_raw(rng, two.algebra, 8)))
         words = oracle.slice(r)
         for u in oracle.all_words():
             assert (u in words) == deriv_word(two, u, r).nullable
@@ -245,7 +245,7 @@ def test_set_derivatives_bound_symbol_derivatives(two):
     oracle = SliceOracle(two, N)
     rng = random.Random(23)
     for _ in range(500):
-        r = two.build(random_raw(rng, two.algebra, 8))
+        r = two.parse(raw_text(random_raw(rng, two.algebra, 8)))
         a_set = random_set(rng, two.algebra)
         members = two.algebra.members(a_set)
         pos = oracle.slice(pos_deriv(two, a_set, r))
@@ -265,7 +265,7 @@ def test_left_quotient_on_refining_classes(two):
     oracle = SliceOracle(two, N)
     rng = random.Random(24)
     for _ in range(500):
-        r = two.build(random_raw(rng, two.algebra, 8))
+        r = two.parse(raw_text(random_raw(rng, two.algebra, 8)))
         for a_set in next_literals(two, r):
             slices = {
                 oracle.slice(deriv_symbol(two, a, r))
@@ -310,7 +310,7 @@ def test_coverage_directions(two):
     oracle = SliceOracle(two, N)
     rng = random.Random(25)
     for _ in range(300):
-        r = two.build(random_raw(rng, two.algebra, 8))
+        r = two.parse(raw_text(random_raw(rng, two.algebra, 8)))
         part = next_literals(two, r)
         for a in two.algebra.symbols:
             hosts = [c for c in part if two.algebra.contains(c, a)]
@@ -328,7 +328,7 @@ def test_symbols_outside_next_have_empty_derivatives(two):
     oracle = SliceOracle(two, N)
     rng = random.Random(26)
     for _ in range(300):
-        r = two.build(random_raw(rng, two.algebra, 8))
+        r = two.parse(raw_text(random_raw(rng, two.algebra, 8)))
         covered = partition_union(two.algebra, next_literals(two, r))
         for a in two.algebra.symbols:
             if not two.algebra.contains(covered, a):

@@ -19,7 +19,7 @@ from symre.nextlit import (
 )
 from symre.syntax import And, Concat, ExprBuilder, Literal, Not, Star, Union, width
 
-from exprgen import C3_WEIGHTS, random_partition, random_raw
+from exprgen import C3_WEIGHTS, random_partition, random_raw, raw_text
 
 
 @pytest.fixture
@@ -237,7 +237,7 @@ def _brute_minterms(alg, r):
 
 def _random_expressions(b):
     rng = random.Random(33)
-    return [b.build(random_raw(rng, b.algebra, 9)) for _ in range(500)]
+    return [b.parse(raw_text(random_raw(rng, b.algebra, 9))) for _ in range(500)]
 
 
 def test_partition_invariants_on_random_expressions():
@@ -311,7 +311,7 @@ def test_refines_next_matches_its_definition():
     subsets = [alg.from_chars(c for k, c in enumerate("abc") if m >> k & 1) for m in range(8)]
     rng = random.Random(48)
     for _ in range(300):
-        r = b.build(random_raw(rng, alg, 10, C3_WEIGHTS))
+        r = b.parse(raw_text(random_raw(rng, alg, 10, C3_WEIGHTS)))
         part = next_literals(b, r)
         for a_set in subsets:
             inside_one = any(alg.is_subset(a_set, m) for m in part)
@@ -403,7 +403,7 @@ def test_partition_memo_answers_as_a_fresh_builder():
     rng = random.Random(46)
     raws = [random_raw(rng, alg, 10, C3_WEIGHTS) for _ in range(600)]
     warm = ExprBuilder(alg)
-    exprs = [warm.build(raw) for raw in raws]
+    exprs = [warm.parse(raw_text(raw)) for raw in raws]
 
     def results(b, r, s):
         classes = next_of_ineq(b, r, s)
@@ -421,7 +421,7 @@ def test_partition_memo_answers_as_a_fresh_builder():
     assert warm.partition_cache
     for raw_r, raw_s, r, s in zip(raws, raws[1:], exprs, exprs[1:]):
         fresh = ExprBuilder(alg)
-        expected = results(fresh, fresh.build(raw_r), fresh.build(raw_s))
+        expected = results(fresh, fresh.parse(raw_text(raw_r)), fresh.parse(raw_text(raw_s)))
         assert results(warm, r, s) == expected, (repr(r), repr(s))
 
 

@@ -7,7 +7,7 @@ from symre.containment import membership
 from symre.oracle import SliceOracle, slice_equal, slice_subset, slice_words
 from symre.syntax import ExprBuilder
 
-from exprgen import random_raw
+from exprgen import random_raw, raw_text
 
 
 @pytest.fixture
@@ -37,14 +37,14 @@ def test_slice_subset_and_equal(b):
     assert not slice_subset(b, b.parse("(a|b)|c"), b.parse("a|b"), 1)
     rng = random.Random(3)
     for _ in range(50):
-        r = b.build(random_raw(rng, b.algebra, 8))
+        r = b.parse(raw_text(random_raw(rng, b.algebra, 8)))
         assert slice_equal(b, r, r, 4)
 
 
 def test_slice_monotone_in_bound(b):
     rng = random.Random(9)
     for _ in range(100):
-        r = b.build(random_raw(rng, b.algebra, 8))
+        r = b.parse(raw_text(random_raw(rng, b.algebra, 8)))
         small = slice_words(b, r, 4)
         assert small == {u for u in slice_words(b, r, 5) if len(u) <= 4}
 
@@ -56,7 +56,7 @@ def test_slice_agrees_with_derivative_membership():
     oracle = SliceOracle(b, 5)
     rng = random.Random(10)
     for _ in range(150):
-        r = b.build(random_raw(rng, alg, 8))
+        r = b.parse(raw_text(random_raw(rng, alg, 8)))
         words = oracle.slice(r)
         for u in oracle.all_words():
             assert (u in words) == membership(b, u, r)

@@ -8,7 +8,7 @@ from symre.containment import Checker, FuelExhausted, membership, shortest_word
 from symre.regexalg import RegexAlgebra, RegexSet
 from symre.syntax import ExprBuilder
 
-from exprgen import random_raw
+from exprgen import random_raw, raw_text
 
 
 @pytest.fixture
@@ -53,7 +53,7 @@ def test_emptiness_and_witness_agree_with_inner_searches(alg):
     rng = random.Random(46)
     for i in range(400):
         raw = random_raw(rng, inner_alg, 8)
-        a = RegexSet(alg, alg.inner.build(raw))
+        a = RegexSet(alg, alg.inner.parse(raw_text(raw)))
         if i % 2:  # let the checker fill the memo first on every other set
             holds = chk.check(a.expr, alg.inner.bottom()).holds
             empty = alg.is_empty(a)
@@ -63,7 +63,7 @@ def test_emptiness_and_witness_agree_with_inner_searches(alg):
         assert empty == holds
         if not empty:
             fresh = ExprBuilder(inner_alg)
-            assert alg.pick_witness(a) == "".join(shortest_word(fresh, fresh.build(raw)))
+            assert alg.pick_witness(a) == "".join(shortest_word(fresh, fresh.parse(raw_text(raw))))
 
 
 def test_inner_fuel_exhaustion_is_an_algebra_error(alg, monkeypatch):

@@ -14,16 +14,14 @@ from symre.syntax import (
     Star,
     Union,
     parse_class_text,
-    parse_raw,
-    raw_size,
-    raw_width,
+    parse_with_metrics,
     size,
     to_text,
     unescape_word,
     width,
 )
 
-from exprgen import random_raw
+from exprgen import random_raw, raw_text
 
 
 @pytest.fixture
@@ -108,12 +106,12 @@ def _rebuild(b, r):
 def test_normalization_idempotent(b):
     rng = random.Random(4)
     for _ in range(400):
-        r = b.build(random_raw(rng, b.algebra, 9))
+        r = b.parse(raw_text(random_raw(rng, b.algebra, 9)))
         assert _rebuild(b, r) is r
 
 
 def _fold(b, raw):
-    """Reference semantics for ``build``: the plain recursive binary fold."""
+    """Reference semantics for the parser: the plain recursive binary fold."""
     tag = raw[0]
     if tag == "eps":
         return b.epsilon()
@@ -127,11 +125,27 @@ def _fold(b, raw):
     return op(_fold(b, raw[1]), _fold(b, raw[2]))
 
 
-def test_build_matches_recursive_fold(b):
+def _raw_counts(raw):
+    """The number of nodes and of literals of a raw tree."""
+    nodes = literals = 0
+    stack = [raw]
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        if node[0] == "lit":
+            literals += 1
+        else:
+            stack.extend(node[1:])
+    return nodes, literals
+
+
+def test_parse_matches_recursive_fold_and_counts(b):
     rng = random.Random(14)
-    for _ in range(600):
+    for _ in range(2000):
         raw = random_raw(rng, b.algebra, 12)
-        assert b.build(raw) is _fold(b, raw)
+        node, raw_size, raw_width = parse_with_metrics(raw_text(raw), b)
+        assert node is _fold(b, raw)
+        assert (raw_size, raw_width) == _raw_counts(raw)
 
 
 # -- linear work on long inputs ----------------------------------------------------
@@ -197,7 +211,7 @@ def test_normalization_preserves_language():
     rng = random.Random(11)
     for _ in range(300):
         raw = random_raw(rng, alg, 9)
-        assert oracle.slice(b.build(raw)) == frozenset(_raw_slice(raw, alg.symbols, 6))
+        assert oracle.slice(b.parse(raw_text(raw))) == frozenset(_raw_slice(raw, alg.symbols, 6))
 
 
 # -- nullable ------------------------------------------------------------------
@@ -223,7 +237,7 @@ def test_nullable_matches_slice():
     oracle = SliceOracle(b, 4)
     rng = random.Random(12)
     for _ in range(300):
-        r = b.build(random_raw(rng, alg, 8))
+        r = b.parse(raw_text(random_raw(rng, alg, 8)))
         assert r.nullable == ("" in oracle.slice(r))
 
 
@@ -232,14 +246,13 @@ def test_nullable_matches_slice():
 
 def test_size_and_width(b):
     assert size(b.epsilon()) == 1
-    raw = parse_raw("a|b*", b.algebra)
-    assert raw_size(raw) == 4 and raw_width(raw) == 2
-    built = b.build(raw)
+    built, raw_size, raw_width = parse_with_metrics("a|b*", b)
+    assert raw_size == 4 and raw_width == 2
     assert size(built) == 4 and width(built) == 2
     assert width(b.and_(b.char("a"), b.char("b"))) == 2
-    # merging can shrink the normalized metrics relative to the raw tree
-    raw2 = parse_raw("(a|b)|c", b.algebra)
-    assert raw_size(raw2) == 5 and size(b.build(raw2)) == 1
+    # merging can shrink the normalized metrics relative to the text as written
+    merged, raw_size, raw_width = parse_with_metrics("(a|b)|c", b)
+    assert raw_size == 5 and raw_width == 3 and size(merged) == 1
 
 
 # -- parser ---------------------------------------------------------------------
@@ -323,7 +336,7 @@ def test_parse_errors_carry_position(b, text, pos):
 )
 def test_parse_error_messages(text, message, pos):
     with pytest.raises(ParseError) as err:
-        parse_raw(text, IntervalAlgebra())
+        ExprBuilder(IntervalAlgebra()).parse(text)
     assert str(err.value) == f"{message} (at position {pos})"
     assert err.value.position == pos
 
@@ -333,8 +346,6 @@ def test_builder_rejects_bad_input(b):
         b.literal(BitsetAlgebra("abc").top())
     with pytest.raises(TypeError, match=r"^and_\(\) needs at least one operand$"):
         b.and_()
-    with pytest.raises(ValueError, match="^unknown raw tag 'bogus'$"):
-        b.build(("bogus",))
 
 
 def test_plain_characters_parse_as_general_atoms(b):
@@ -346,12 +357,12 @@ def test_plain_characters_parse_as_general_atoms(b):
         text = "".join(picked)
         wrapped = "".join(f"({t})" if t in ("a", "b", "c") else t for t in picked)
         try:
-            raw = parse_raw(text, b.algebra)
+            parsed = parse_with_metrics(text, b)
         except ParseError:
             with pytest.raises(ParseError):
-                parse_raw(wrapped, b.algebra)
+                parse_with_metrics(wrapped, b)
         else:
-            assert parse_raw(wrapped, b.algebra) == raw
+            assert parse_with_metrics(wrapped, b) == parsed
 
 
 def test_word_makes_one_set_per_distinct_character():
@@ -361,10 +372,11 @@ def test_word_makes_one_set_per_distinct_character():
     alg.class_set = lambda items, negate: calls.append(items) or class_set(items, negate)
     n = 10_000
     rng = random.Random(17)
-    raw = parse_raw("".join(rng.choice("abc") for _ in range(n)), alg)
-    ExprBuilder(alg).build(raw)
+    _, raw_size, raw_width = parse_with_metrics(
+        "".join(rng.choice("abc") for _ in range(n)), ExprBuilder(alg)
+    )
     assert len(calls) <= 3
-    assert raw_size(raw) == 2 * n - 1 and raw_width(raw) == n
+    assert raw_size == 2 * n - 1 and raw_width == n
 
 
 def test_nesting_limit(b):
@@ -379,8 +391,7 @@ def test_long_negation_runs(b):
     a = b.char("a")
     assert b.parse("!" * 2000 + "a") is a
     assert b.parse("!" * 2001 + "a") is b.not_(a)
-    raw = parse_raw("!" * 2000 + "a", b.algebra)
-    assert raw_size(raw) == 2001 and raw_width(raw) == 1
+    assert parse_with_metrics("!" * 2000 + "a", b) == (a, 2001, 1)
 
 
 def test_parse_class_text(b):
@@ -414,8 +425,22 @@ def test_render_parse_round_trip():
     b = ExprBuilder(alg)
     rng = random.Random(13)
     for _ in range(400):
-        r = b.build(random_raw(rng, alg, 10))
+        r = b.parse(raw_text(random_raw(rng, alg, 10)))
         assert b.parse(to_text(r)) is r
+
+
+def test_rendering_formats_each_literal_once():
+    alg = IntervalAlgebra()
+    b = ExprBuilder(alg)
+    n = 10_000
+    rng = random.Random(18)
+    word = "".join(rng.choice("abc") for _ in range(n))
+    r = b.parse(word)
+    calls = []
+    format_set = alg.format_set
+    alg.format_set = lambda symbols: calls.append(symbols) or format_set(symbols)
+    assert to_text(r) == word
+    assert len(calls) <= 3
 
 
 def test_meta_character_renders_escaped():
