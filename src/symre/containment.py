@@ -10,10 +10,14 @@ inside one next literal of each side or outside the right side's
 coverage.  So a branch costs two symbol derivatives by the witness, or one
 outside the right side's coverage, where that side's derivative is ``[]``.
 Termination follows from the finiteness of dissimilar iterated derivatives.
-Four fast-path axioms (identity, empty left side, nullable right side for
-an epsilon left side, and empty right side against a non-empty left
-language) shortcut the unfolding; they never change a verdict, only the
-statistics.
+Fast-path axioms close a pair before it is unfolded: identity, an empty
+left side, an epsilon left side against a nullable right side, the
+universal right side ``.*``, a left intersection among whose members is
+every conjunct of the right side (``L(r & s)`` is contained in ``L(r)``),
+and an empty right side, which the shortest-word search of the left side
+decides either way.  They never change a verdict, only the statistics.
+A traced check renders each node once: its events share one map of node
+texts, so each pair costs its new nodes only.
 
 Refutations carry a witness word built from the deterministic per-literal
 witness symbols along the failing path, so a reported witness is always a
@@ -28,7 +32,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union as TypingUnion
 
 from .derivative import deriv_symbol, deriv_word
 from .nextlit import next_literals, pair_classes
-from .syntax import Epsilon, Ere, ExprBuilder, to_text
+from .syntax import And, Epsilon, Ere, ExprBuilder, to_text
 
 DEFAULT_FUEL = 1 << 20
 
@@ -44,7 +48,10 @@ TRACE_RULES = {
     "prove-identity": True,
     "prove-empty": True,
     "prove-nullable": True,
+    "prove-universal": True,
+    "prove-conjunct": True,
     "disprove-empty": False,
+    "prove-empty-language": True,
 }
 
 
@@ -154,7 +161,8 @@ class Checker:
         """Decide whether the language of ``r`` is contained in ``s``."""
         b = self.builder
         alg = b.algebra
-        bottom = b.bottom()
+        bottom, top = b.bottom(), b.sigma_star()
+        texts: dict = {}  # the text of each node a trace event named so far
         assumed: set[tuple[int, int]] = set()
         frames: list[list] = []  # [lhs, rhs, branches, next branch] per unfolded pair
         visited = max_depth = 0
@@ -164,8 +172,8 @@ class Checker:
                 self.trace(
                     {
                         "rule": rule,
-                        "lhs": to_text(lhs),
-                        "rhs": to_text(rhs),
+                        "lhs": to_text(lhs, texts),
+                        "rhs": to_text(rhs, texts),
                         "literal": None if literal is None else alg.format_set(literal),
                         "depth": depth,
                     }
@@ -196,11 +204,20 @@ class Checker:
                 if isinstance(lhs, Epsilon) and rhs.nullable:
                     emit("prove-nullable", lhs, rhs, None, depth)
                     return None
-                if rhs is bottom and next_literals(b, lhs):
+                if rhs is top:
+                    emit("prove-universal", lhs, rhs, None, depth)
+                    return None
+                # L(r & s) is contained in L(r), and in L(s).
+                if type(lhs) is And and all(
+                    m in lhs.members for m in (rhs.members if type(rhs) is And else (rhs,))
+                ):
+                    emit("prove-conjunct", lhs, rhs, None, depth)
+                    return None
+                if rhs is bottom:
                     tail = shortest_word(b, lhs, self.fuel)
-                    if tail is not None:
-                        emit("disprove-empty", lhs, rhs, None, depth)
-                        return tail
+                    rule = "prove-empty-language" if tail is None else "disprove-empty"
+                    emit(rule, lhs, rhs, None, depth)
+                    return tail
             pair = (lhs.eid, rhs.eid)
             if pair in assumed:
                 emit("cycle", lhs, rhs, None, depth)

@@ -529,39 +529,89 @@ def _class(sc: _Scanner) -> SymbolSet:
 _LEVEL_ALT, _LEVEL_AND, _LEVEL_CAT, _LEVEL_NEG, _LEVEL_POST, _LEVEL_ATOM = 0, 1, 2, 3, 4, 5
 
 
-def to_text(r: Ere) -> str:
-    """Render a normalized tree in the concrete syntax (parse round-trips)."""
-    return _render(r, _LEVEL_ALT, {})
+def to_text(r: Ere, texts: Optional[dict] = None) -> str:
+    """Render a normalized tree in the concrete syntax (parse round-trips).
+
+    ``texts`` maps each node rendered so far to its text without enclosing
+    parentheses.  Calls that share one such dict render each node once
+    across all of them, every suffix of a concatenation included: a
+    concatenation's text is its head's plus its tail's.  Without it, the
+    call renders a concatenation's chain in one step, so the text costs time
+    linear in its length.
+    """
+    shared = texts is not None
+    if texts is None:
+        texts = {}
+    stack = [r]
+    while stack:
+        node = stack[-1]
+        if node in texts:
+            stack.pop()
+            continue
+        parts = _parts(node, shared)
+        missing = [p for p in parts if p not in texts]
+        if missing:
+            stack += missing
+            continue
+        stack.pop()
+        texts[node] = _text_of(node, parts, texts)
+    return texts[r]
 
 
-def _render(r: Ere, level: int, lits: dict) -> str:
-    """``r`` at precedence ``level``; ``lits`` maps each literal rendered so
-    far to its text, so a literal is formatted once per call of ``to_text``."""
+def _parts(r: Ere, shared: bool) -> tuple:
+    """The nodes whose texts make up the text of ``r``: a concatenation's
+    head and tail when the texts are shared, else its whole chain."""
+    if isinstance(r, Concat):
+        if shared:
+            return (r.head, r.tail)
+        chain = []
+        while isinstance(r, Concat):
+            chain.append(r.head)
+            r = r.tail
+        chain.append(r)
+        return tuple(chain)
+    if isinstance(r, (Union, And)):
+        return r.members
+    if isinstance(r, (Star, Not)):
+        return (r.inner,)
+    if isinstance(r, (Epsilon, Literal)):
+        return ()
+    raise TypeError(r)
+
+
+def _text_of(r: Ere, parts: tuple, texts: dict) -> str:
+    """The text of ``r`` from the texts of its ``parts``."""
     if isinstance(r, Epsilon):
         return "()"
     if isinstance(r, Literal):
-        text = lits.get(r)
-        if text is None:
-            text = lits[r] = r.symbols.algebra.format_set(r.symbols)
-        return text
+        return r.symbols.algebra.format_set(r.symbols)
     if isinstance(r, Union):
-        text, own = "|".join(_render(m, _LEVEL_AND, lits) for m in r.members), _LEVEL_ALT
-    elif isinstance(r, And):
-        text, own = "&".join(_render(m, _LEVEL_CAT, lits) for m in r.members), _LEVEL_AND
-    elif isinstance(r, Concat):
-        chain = []
-        node: Ere = r
-        while isinstance(node, Concat):
-            chain.append(node.head)
-            node = node.tail
-        chain.append(node)
-        text, own = "".join(_render(m, _LEVEL_NEG, lits) for m in chain), _LEVEL_CAT
-    elif isinstance(r, Not):
-        text, own = "!" + _render(r.inner, _LEVEL_NEG, lits), _LEVEL_NEG
-    elif isinstance(r, Star):
-        text, own = _render(r.inner, _LEVEL_ATOM, lits) + "*", _LEVEL_POST
-    else:
-        raise TypeError(r)
-    if own < level:
-        return "(" + text + ")"
-    return text
+        return "|".join(_at(m, _LEVEL_AND, texts) for m in parts)
+    if isinstance(r, And):
+        return "&".join(_at(m, _LEVEL_CAT, texts) for m in parts)
+    if isinstance(r, Concat):
+        # A non-concatenation last factor is wrapped at the level of a
+        # factor or of a concatenation alike; a tail chain is not wrapped.
+        heads = "".join(_at(m, _LEVEL_NEG, texts) for m in parts[:-1])
+        return heads + _at(parts[-1], _LEVEL_CAT, texts)
+    if isinstance(r, Not):
+        return "!" + _at(r.inner, _LEVEL_NEG, texts)
+    return _at(r.inner, _LEVEL_ATOM, texts) + "*"
+
+
+_OWN_LEVEL = {
+    Union: _LEVEL_ALT,
+    And: _LEVEL_AND,
+    Concat: _LEVEL_CAT,
+    Not: _LEVEL_NEG,
+    Star: _LEVEL_POST,
+    Epsilon: _LEVEL_ATOM,
+    Literal: _LEVEL_ATOM,
+}
+
+
+def _at(r: Ere, level: int, texts: dict) -> str:
+    """The text of ``r`` at precedence ``level``, in parentheses if ``r``
+    binds more loosely."""
+    text = texts[r]
+    return "(" + text + ")" if _OWN_LEVEL[type(r)] < level else text

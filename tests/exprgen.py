@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from symre.alphabet import BitsetAlgebra
+from symre.syntax import ExprBuilder
 
 # Raw trees, the expressions as written: ("eps",) | ("lit", SymbolSet) |
 # ("star", raw) | ("not", raw) | ("union"|"concat"|"and", raw, raw).
@@ -22,6 +23,15 @@ DEFAULT_WEIGHTS = {
 
 # Heavier on the extended operators ``&`` and ``!`` (acceptance criterion 3).
 C3_WEIGHTS = {"lit": 3, "eps": 1, "star": 2, "not": 3, "union": 3, "concat": 3, "and": 3}
+
+
+# The random pairs of acceptance criterion 3, one corpus per name:
+# name -> (symbols, size of each side, pairs, seed).
+C3_CORPORA = {
+    "ab10": ("ab", 10, 1000, 0xC3),
+    "ab14": ("ab", 14, 1500, 1),
+    "abc12": ("abc", 12, 600, 7),
+}
 
 
 def random_set(rng: random.Random, algebra: BitsetAlgebra):
@@ -101,3 +111,17 @@ def random_partition(rng: random.Random, algebra: BitsetAlgebra):
     for i, c in enumerate(kept):
         blocks[i % block_count].append(c)
     return tuple(algebra.from_chars(block) for block in blocks if block)
+
+
+def c3_corpus(name: str):
+    """The builder, raw pairs and parsed pairs of corpus ``name`` of
+    ``C3_CORPORA``, drawn with ``C3_WEIGHTS`` and parsed into one builder."""
+    symbols, size, count, seed = C3_CORPORA[name]
+    alg = BitsetAlgebra(symbols)
+    b = ExprBuilder(alg)
+    rng = random.Random(seed)
+    raws = [
+        (random_raw(rng, alg, size, C3_WEIGHTS), random_raw(rng, alg, size, C3_WEIGHTS))
+        for _ in range(count)
+    ]
+    return b, raws, [(b.parse(raw_text(r)), b.parse(raw_text(s))) for r, s in raws]

@@ -134,7 +134,8 @@ def test_trace_json_file(capsys, tmp_path):
     rules = {e["rule"] for e in events}
     assert rules <= {
         "disprove", "cycle", "unfold", "prove-identity",
-        "prove-empty", "prove-nullable", "disprove-empty",
+        "prove-empty", "prove-nullable", "prove-universal", "prove-conjunct",
+        "disprove-empty", "prove-empty-language",
     }
     assert replay_trace(events) is False
 

@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from symre import containment
+from symre import containment, syntax
 from symre.alphabet import BitsetAlgebra, FiniteCofiniteAlgebra, IntervalAlgebra
 from symre.containment import (
     Checker,
@@ -89,6 +89,40 @@ def test_empty_intersection_against_empty_holds(b, chk):
     assert Checker(b, use_axioms=False).check(r, b.bottom()).holds
 
 
+# Three languages to intersect, and the complement of a language that
+# equals R_LANG but is written differently, so that no constructor cancels it.
+A, B, C = "(a|b)*c", "!(.*bb.*)", "a.*"
+R_LANG, NOT_R = "(a|b)*a" + "(a|b)" * 9, "!((a*b*)*a" + "(a|b)" * 9 + ")"
+
+
+def _traced(b, lhs, rhs):
+    events = []
+    verdict = Checker(b, trace=events.append).check(b.parse(lhs), b.parse(rhs))
+    assert replay_trace(events) == verdict.holds
+    return verdict, [e["rule"] for e in events]
+
+
+@pytest.mark.parametrize(
+    "lhs,rhs,rule",
+    [
+        (f"{A}&{B}", A, "prove-conjunct"),
+        (f"{A}&{B}&{C}", f"{A}&{C}", "prove-conjunct"),
+        (f"{R_LANG}&{NOT_R}", "[]", "prove-empty-language"),
+        ("(a!b)" * 50, ".*", "prove-universal"),
+    ],
+)
+def test_axiom_closes_the_root_pair(b, lhs, rhs, rule):
+    verdict, rules = _traced(b, lhs, rhs)
+    assert verdict.holds and verdict.stats.visited == 1
+    assert rules == [rule]
+
+
+def test_conjunct_axiom_reads_only_the_left_side_as_a_conjunction(b):
+    verdict, rules = _traced(b, A, f"{A}&{B}")
+    assert not verdict.holds and not membership(b, verdict.witness, b.parse(B))
+    assert "prove-conjunct" not in rules
+
+
 def test_axioms_only_change_statistics(b):
     cases = [
         ("(a|b)|c", "a|b"),
@@ -97,11 +131,38 @@ def test_axioms_only_change_statistics(b):
         ("(ab)&(ac)", "[]"),
         ("!a", "!(a&b)"),
         ("(a|b)*", "!([])"),
+        (f"{A}&{B}", A),
+        (f"{A}&{B}&{C}", f"{A}&{C}"),
+        (A, f"{A}&{B}"),
+        (f"{R_LANG}&{NOT_R}", "[]"),
+        ("(a!b)" * 50, ".*"),
     ]
     for lhs, rhs in cases:
         with_ax = Checker(b).check(b.parse(lhs), b.parse(rhs))
         without = Checker(b, use_axioms=False).check(b.parse(lhs), b.parse(rhs))
         assert with_ax.holds == without.holds
+
+
+def test_traced_checks_render_each_node_once(b, monkeypatch):
+    # the events of one check share each node's text: every side reads as
+    # to_text renders it, and each distinct node under the sides is
+    # rendered once, however many events name it
+    rendered, sides = [], []
+    text_of, render = syntax._text_of, containment.to_text
+    monkeypatch.setattr(syntax, "_text_of", lambda r, *rest: rendered.append(r) or text_of(r, *rest))
+    monkeypatch.setattr(containment, "to_text", lambda r, texts: sides.append(r) or render(r, texts))
+    events = []
+    verdict = Checker(b, trace=events.append).check(b.parse("ab" * 200), b.parse("[ab]*"))
+    assert verdict.holds and len(events) == 401
+    steps = len(rendered)
+    distinct, todo = set(), list(sides)
+    while todo:
+        node = todo.pop()
+        if node not in distinct:
+            distinct.add(node)
+            todo += syntax._parts(node, True)
+    assert steps == len(distinct) < 500
+    assert [t for e in events for t in (e["lhs"], e["rhs"])] == [to_text(r) for r in sides]
 
 
 # -- cycles and termination -----------------------------------------------------------
@@ -199,16 +260,10 @@ def test_trace_replay_matches_verdict_on_random_pairs():
         assert replay_trace(events) == verdict.holds
 
 
-def _render_by_eid(monkeypatch):
-    # An eid names a node as exactly as its text does, and keeps the trace of
-    # a long expression linear in the number of events.
-    monkeypatch.setattr(containment, "to_text", lambda r: str(r.eid))
-
-
 @pytest.mark.parametrize("rhs,holds", [("[ab]*", True), ("[ab]*a", False)])
-def test_deep_traces_replay_to_their_verdicts(monkeypatch, rhs, holds):
-    _render_by_eid(monkeypatch)
-    b = ExprBuilder(BitsetAlgebra("ab"))
+def test_deep_traces_replay_to_their_verdicts(rhs, holds):
+    # over abc, [ab]* is not .*, which the universal axiom closes at once
+    b = ExprBuilder(BitsetAlgebra("abc"))
     events = []
     verdict = Checker(b, trace=events.append).check(b.parse("ab" * 2500), b.parse(rhs))
     assert verdict.holds == holds
@@ -307,13 +362,13 @@ NO_RECURSION_PROBES = [
 ]
 
 
-def test_no_layer_recurses_per_factor_or_member(monkeypatch):
+def test_no_layer_recurses_per_factor_or_member():
     # long chains, wide unions and intersections, and the deepest nesting
     # the parser accepts, through the checker, its trace, the renderer and
-    # the emptiness search
-    _render_by_eid(monkeypatch)
+    # the emptiness search; over abc, [ab]* is not .*, which the universal
+    # axiom closes at once
     for text, rhs in NO_RECURSION_PROBES:
-        b = ExprBuilder(BitsetAlgebra("ab"))
+        b = ExprBuilder(BitsetAlgebra("abc"))
         r, s = b.parse(text), b.parse(rhs)
         events = []
         verdict = Checker(b, trace=events.append).check(r, s)
@@ -382,8 +437,10 @@ def test_shortest_word(b):
 
 
 def test_emptiness_cost_is_linear_in_visited_pairs(b, monkeypatch):
-    # every visited pair of r & !r <= [] asks for a shortest word; the memo
-    # answers all but the first search, so the derivative work stays linear
+    # r & !r <= [] is one pair: the search for a shortest word of r & !r
+    # finds none, so the empty-language axiom closes it.  The search takes
+    # one symbol derivative per class of each node it reaches: 1024 nodes,
+    # two classes each
     searched = []
     original = containment.deriv_symbol
 
@@ -394,8 +451,8 @@ def test_emptiness_cost_is_linear_in_visited_pairs(b, monkeypatch):
     monkeypatch.setattr(containment, "deriv_symbol", counting)
     r = b.parse("(a|b)*a" + "(a|b)" * 9)
     verdict = Checker(b).check(b.and_(r, b.not_(r)), b.bottom())
-    assert verdict.holds and verdict.stats.visited == 2049
-    assert len(searched) <= 2 * verdict.stats.visited
+    assert verdict.holds and verdict.stats.visited == 1
+    assert len(searched) == 2048
 
 
 # -- other algebras ------------------------------------------------------------------
