@@ -49,8 +49,11 @@ class SymbolSet:
 class Algebra:
     """Boolean algebra over subsets of a fixed universe of symbols.
 
-    Subclasses provide the representation; this base class carries the
-    derived operations and the canonical textual rendering.  Sets created
+    Subclasses provide the representation: the Boolean operations,
+    emptiness, membership and witnesses, and for the character algebras the
+    rendering hooks ``_intervals`` and ``_class_items``.  This base class
+    carries the rules derived from them: inclusion as emptiness of
+    ``a & !b``, equality, and the canonical textual rendering.  Sets created
     by one algebra instance must not be passed to another.
     """
 
@@ -117,20 +120,25 @@ class Algebra:
         """Canonical codepoint intervals of the denotation (char algebras)."""
         raise NotImplementedError
 
+    def _class_items(self, a: SymbolSet) -> tuple[bool, tuple[tuple[int, int], ...]]:
+        """Whether ``a`` renders negated, and the intervals its class lists:
+        those of the complement when there are fewer of them."""
+        direct = self._intervals(a)
+        inverse = self._intervals(self.complement(a))
+        if len(inverse) < len(direct):
+            return True, inverse
+        return False, direct
+
     def format_set(self, a: SymbolSet) -> str:
         self._own(a)
-        if self.is_empty(a):
-            return "[]"
-        comp = self.complement(a)
-        if self.is_empty(comp):
-            return "."
-        direct = self._intervals(a)
-        inverse = self._intervals(comp)
-        if len(inverse) < len(direct):
-            return "[^" + format_class_items(inverse) + "]"
-        if len(direct) == 1 and direct[0][0] == direct[0][1]:
-            return escape_char(chr(direct[0][0]), bare=True)
-        return "[" + format_class_items(direct) + "]"
+        negated, items = self._class_items(a)
+        if not items:
+            return "." if negated else "[]"
+        if negated:
+            return "[^" + format_class_items(items) + "]"
+        if len(items) == 1 and items[0][0] == items[0][1]:
+            return escape_char(chr(items[0][0]), bare=True)
+        return "[" + format_class_items(items) + "]"
 
 
 def escape_char(c: str, bare: bool) -> str:
@@ -459,15 +467,6 @@ class FiniteCofiniteAlgebra(_CodepointAlgebra):
         chars = frozenset(chr(cp) for lo, hi in ivs for cp in range(lo, hi + 1))
         return self._make(negate, chars)
 
-    def format_set(self, a: FcSet) -> str:
-        self._own(a)
-        if self.is_empty(a):
-            return "[]"
-        if a.cofinite and not a.members:
-            return "."
-        items = merge_intervals((ord(c), ord(c)) for c in a.members)
-        if a.cofinite:
-            return "[^" + format_class_items(items) + "]"
-        if len(a.members) == 1:
-            return escape_char(next(iter(a.members)), bare=True)
-        return "[" + format_class_items(items) + "]"
+    def _class_items(self, a: FcSet) -> tuple[bool, tuple[tuple[int, int], ...]]:
+        # The stored part as it is, so rendering never enumerates a complement.
+        return a.cofinite, merge_intervals((ord(c), ord(c)) for c in a.members)

@@ -27,7 +27,7 @@ from .alphabet import (
     FiniteCofiniteAlgebra,
     IntervalAlgebra,
 )
-from .containment import DEFAULT_FUEL, Checker, FuelExhausted, Verdict, membership
+from .containment import DEFAULT_FUEL, Checker, FuelExhausted, membership
 from .derivative import deriv_literal
 from .nextlit import next_literals
 from .oracle import SliceOracle
@@ -160,10 +160,9 @@ def _run(args: argparse.Namespace) -> int:
         word = unescape_word(args.word)
         expr = parse_expr(args.expr, "expr")
         matched = membership(builder, word, expr)
-        if oracle is not None:
-            code = _oracle_check_match(oracle, word, expr, matched)
-            if code is not None:
-                return code
+        if oracle is not None and not _oracle_confirms(oracle, "match", word, expr, matched):
+            print("oracle disagreement: membership verdict not confirmed", file=sys.stderr)
+            return EX_ORACLE
         print("MATCH" if matched else "NO-MATCH")
         return EX_HOLDS if matched else EX_FAILS
 
@@ -195,10 +194,9 @@ def _run(args: argparse.Namespace) -> int:
     line = "HOLDS" if verdict.holds else f"FAILS witness={algebra.format_word(verdict.witness)}"
     print(line, file=sys.stderr if args.command == "trace" else sys.stdout)
 
-    if oracle is not None:
-        code = _oracle_check_verdict(oracle, lhs, rhs, verdict, args.command == "equiv")
-        if code is not None:
-            return code
+    if oracle is not None and not _oracle_confirms(oracle, args.command, lhs, rhs, verdict):
+        print("oracle disagreement: verdict not confirmed by the slice oracle", file=sys.stderr)
+        return EX_ORACLE
     return EX_HOLDS if verdict.holds else EX_FAILS
 
 
@@ -209,30 +207,21 @@ def _make_oracle(builder: ExprBuilder) -> SliceOracle:
         raise AlgebraError(f"--oracle-check: {exc}") from exc
 
 
-def _oracle_check_match(oracle, word, expr, matched: bool) -> Optional[int]:
-    if len(word) > ORACLE_LEN:
-        return None
-    if (word in oracle.slice(expr)) != matched:
-        print("oracle disagreement: membership verdict not confirmed", file=sys.stderr)
-        return EX_ORACLE
-    return None
-
-
-def _oracle_check_verdict(oracle, lhs, rhs, verdict: Verdict, is_equiv: bool) -> Optional[int]:
-    builder = oracle.builder
-    if verdict.holds:
-        ok = oracle.equal(lhs, rhs) if is_equiv else oracle.subset(lhs, rhs)
-    else:
-        w = verdict.witness
-        ok = membership(builder, w, lhs) != membership(builder, w, rhs) if is_equiv else (
-            membership(builder, w, lhs) and not membership(builder, w, rhs)
-        )
-        if ok and len(w) <= ORACLE_LEN and not is_equiv:
-            ok = w in oracle.slice(lhs) and w not in oracle.slice(rhs)
-    if not ok:
-        print("oracle disagreement: verdict not confirmed by the slice oracle", file=sys.stderr)
-        return EX_ORACLE
-    return None
+def _oracle_confirms(oracle: SliceOracle, command: str, lhs, rhs, answer) -> bool:
+    """Whether the slice oracle confirms an answer.  For ``match``, ``lhs``
+    is the word, ``rhs`` the expression and ``answer`` whether they matched;
+    otherwise ``answer`` is the verdict on ``lhs`` and ``rhs``.  A word
+    longer than the slice is not checked against it."""
+    if command == "match":
+        return len(lhs) > ORACLE_LEN or (lhs in oracle.slice(rhs)) == answer
+    if answer.holds:
+        return oracle.equal(lhs, rhs) if command == "equiv" else oracle.subset(lhs, rhs)
+    b, w = oracle.builder, answer.witness
+    if command == "equiv":
+        return membership(b, w, lhs) != membership(b, w, rhs)
+    return membership(b, w, lhs) and not membership(b, w, rhs) and (
+        len(w) > ORACLE_LEN or (w in oracle.slice(lhs) and w not in oracle.slice(rhs))
+    )
 
 
 if __name__ == "__main__":

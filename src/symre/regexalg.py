@@ -2,10 +2,10 @@
 
 Useful when the alphabet is itself a language -- e.g. object field names --
 and a "character class" is a regular expression over an inner alphabet.
-Set operations map to the inner expression operators, and the decidable
-questions (emptiness, equality, membership) are answered by the engine's
-own checker and emptiness search running over the inner bitset alphabet,
-so the layering is strictly acyclic.
+Set operations map to the inner expression operators.  The decisions use
+the engine's emptiness search and membership over the inner bitset
+alphabet: inclusion is emptiness of ``a & !b``, as for every algebra, so
+the layering is strictly acyclic.
 
 Outer words over this algebra are tuples of inner words.
 """
@@ -13,10 +13,10 @@ Outer words over this algebra are tuples of inner words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .alphabet import Algebra, AlgebraError, BitsetAlgebra, SymbolSet, escape_char
-from .containment import Checker, FuelExhausted, membership, shortest_word
+from .containment import FuelExhausted, membership, shortest_word
 from .syntax import Ere, ExprBuilder, to_text
 
 
@@ -30,15 +30,14 @@ class RegexAlgebra(Algebra):
     """Sets of inner-alphabet words, represented as inner expressions.
 
     Unlike the character algebras, representations are not canonical per
-    denotation; equality is decided semantically by the inner containment
-    checker.  Emptiness and witnesses come from ``shortest_word``, memoized
-    in the inner builder's ``word_cache``; like the builder, an instance is
-    not thread-safe.
+    denotation; equality is decided semantically, as inclusion both ways.
+    Emptiness and witnesses come from ``shortest_word``, memoized in the
+    inner builder's ``word_cache``; like the builder, an instance is not
+    thread-safe.
     """
 
     def __init__(self, inner_symbols: str):
         self.inner = ExprBuilder(BitsetAlgebra(inner_symbols))
-        self._checker = Checker(self.inner)
 
     def set_of(self, text: str) -> RegexSet:
         """Build a set from inner concrete syntax, e.g. ``"a(a|b)*"``."""
@@ -62,37 +61,27 @@ class RegexAlgebra(Algebra):
         self._own(a)
         return RegexSet(self, self.inner.not_(a.expr))
 
-    def is_empty(self, a: RegexSet) -> bool:
+    def _shortest(self, a: RegexSet) -> Optional[tuple]:
+        """The shortest inner word of ``a`` as a symbol tuple, or ``None``."""
         self._own(a)
+        # A failed inner search is a fault of this algebra, not an answer.
         try:
-            return shortest_word(self.inner, a.expr) is None
+            return shortest_word(self.inner, a.expr)
         except FuelExhausted as exc:
             raise AlgebraError(f"inner emptiness decision failed: {exc}") from exc
 
+    def is_empty(self, a: RegexSet) -> bool:
+        return self._shortest(a) is None
+
     def is_equal(self, a: RegexSet, b: RegexSet) -> bool:
-        self._own(a, b)
-        if a.expr is b.expr:
-            return True
-        return self._decide(a.expr, b.expr) and self._decide(b.expr, a.expr)
-
-    def is_subset(self, a: RegexSet, b: RegexSet) -> bool:
-        self._own(a, b)
-        return self._decide(a.expr, b.expr)
-
-    def _decide(self, lhs: Ere, rhs: Ere) -> bool:
-        # A failed inner decision is a fault of this algebra, not a verdict.
-        try:
-            return self._checker.check(lhs, rhs).holds
-        except FuelExhausted as exc:
-            raise AlgebraError(f"inner containment decision failed: {exc}") from exc
+        return super().is_equal(a, b) or (self.is_subset(a, b) and self.is_subset(b, a))
 
     def contains(self, a: RegexSet, symbol: str) -> bool:
         self._own(a)
         return membership(self.inner, symbol, a.expr)
 
     def pick_witness(self, a: RegexSet) -> str:
-        self._own(a)
-        symbols = shortest_word(self.inner, a.expr)
+        symbols = self._shortest(a)
         if symbols is None:
             raise AlgebraError("cannot pick a witness from the empty set")
         return "".join(symbols)

@@ -239,14 +239,7 @@ def _occurrences(r: Ere):
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, Concat):
-            stack += (node.head, node.tail)
-        elif isinstance(node, (Union, And)):
-            stack += node.members
-        elif isinstance(node, (Star, Not)):
-            stack.append(node.inner)
-        elif not isinstance(node, (Epsilon, Literal)):
-            raise TypeError(node)
+        stack += _parts(node, True)
 
 
 def size(r: Ere) -> int:
@@ -389,16 +382,9 @@ def parse_with_metrics(text: str, builder: ExprBuilder) -> tuple[Ere, int, int]:
 def parse_class_text(text: str, algebra: Algebra) -> SymbolSet:
     """Parse a standalone symbol set: a ``[...]`` class, ``.``, or one char."""
     sc = _Scanner(text, algebra)
-    c = sc.peek()
-    if c is None:
+    if sc.peek() is None:
         raise ParseError("expected a character class", 0)
-    if c == "[":
-        out = _class(sc)
-    elif c == ".":
-        sc.take()
-        out = algebra.top()
-    else:
-        out = _char_set(algebra, sc.char())
+    out = _set_atom(sc)
     if sc.peek() is not None:
         raise ParseError(f"unexpected {sc.peek()!r} after class", sc.pos)
     return out
@@ -487,12 +473,20 @@ def _atom(sc: _Scanner) -> Ere:
         sc.expect(")")
         return node
     sc.literals += 1
+    if c in "[.":
+        return sc.builder.literal(_set_atom(sc))
+    return sc.char_literal(sc.char())
+
+
+def _set_atom(sc: _Scanner) -> SymbolSet:
+    """The set of a ``[...]`` class, a ``.`` or one character."""
+    c = sc.peek()
     if c == "[":
-        return sc.builder.literal(_class(sc))
+        return _class(sc)
     if c == ".":
         sc.take()
-        return sc.builder.literal(sc.algebra.top())
-    return sc.char_literal(sc.char())
+        return sc.algebra.top()
+    return _char_set(sc.algebra, sc.char())
 
 
 def _class(sc: _Scanner) -> SymbolSet:

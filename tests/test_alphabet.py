@@ -10,6 +10,7 @@ from symre.alphabet import (
     IntervalAlgebra,
     merge_intervals,
 )
+from symre.syntax import parse_class_text
 
 BITS = BitsetAlgebra("abcdefgh")
 IVALS = IntervalAlgebra(0x20, 0x2FF)
@@ -128,6 +129,9 @@ def test_contains_examples():
     assert not FC.contains(FC.cofinite("a"), "a")
     alg = IntervalAlgebra()
     assert not alg.contains(alg.class_set([(ord("a"), ord("z"))], False), "0")
+    # a cofinite set excludes every symbol outside the universe
+    assert not FC.contains(FC.cofinite("a"), "A")
+    assert not FC.contains(FC.top(), "{")
 
 
 def test_pick_witness_examples():
@@ -209,6 +213,22 @@ def test_format_set():
     assert uni.format_set(uni.class_set([(ord("a"), ord("z"))], False)) == "[a-z]"
     assert uni.format_set(uni.class_set([(0, 0)], False)) == "\\u{0}"
     assert FC.format_set(FC.cofinite("ab")) == "[^ab]"
+    assert FC.format_set(FC.bottom()) == "[]"
+    assert FC.format_set(FC.top()) == "."
+    assert FC.format_set(FC.finite("c")) == "c"
+    assert FC.format_set(FC.finite("cab")) == "[a-c]"
+    # a finite set renders its members even where the complement has fewer
+    # intervals; the interval algebra renders the same set by the complement
+    small_fc = FiniteCofiniteAlgebra(ord("a"), ord("f"))
+    small_iv = IntervalAlgebra(ord("a"), ord("f"))
+    assert small_fc.format_set(small_fc.finite("af")) == "[af]"
+    assert small_iv.format_set(small_iv.class_set([(97, 97), (102, 102)], False)) == "[^b-e]"
+
+
+@given(law_cases)
+def test_format_set_round_trips(case):
+    alg, a, _, _ = case
+    assert parse_class_text(alg.format_set(a), alg) == a
 
 
 def test_class_expansion_limit():

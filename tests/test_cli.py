@@ -3,7 +3,7 @@ import json
 import pytest
 
 from symre import cli
-from symre.containment import replay_trace
+from symre.containment import CheckStats, Verdict, replay_trace
 from symre.cli import main
 from symre.syntax import MAX_NESTING
 
@@ -176,6 +176,36 @@ def test_oracle_check_needs_small_bitset(capsys):
     # next and derive cross-check nothing, so any alphabet will do
     assert run(capsys, "next", "--oracle-check", "a")[:2] == (0, "a\n")
     assert run(capsys, "derive", "--oracle-check", "--by", "a", "ab")[:2] == (0, "b\n")
+
+
+def test_oracle_disagreement_on_membership(capsys, monkeypatch):
+    # a refuted match answer exits 3 before anything is printed
+    real = cli.membership
+    monkeypatch.setattr(cli, "membership", lambda b, w, e: not real(b, w, e))
+    code, out, err = run(capsys, "match", *ABC, "--oracle-check", "c", "(a|b)|c")
+    assert (code, out) == (3, "")
+    assert err == "oracle disagreement: membership verdict not confirmed\n"
+    # a word longer than the oracle's slice is not cross-checked
+    long_word = "a" * (cli.ORACLE_LEN + 1)
+    code, out, err = run(capsys, "match", *ABC, "--oracle-check", long_word, "a*")
+    assert (code, out, err) == (1, "NO-MATCH\n", "")
+
+
+@pytest.mark.parametrize(
+    "verdict, line",
+    [(Verdict(True, None, CheckStats(1, 0)), "HOLDS"),
+     (Verdict(False, "b", CheckStats(1, 1)), "FAILS witness=b")],
+)
+def test_oracle_disagreement_on_a_verdict(capsys, monkeypatch, verdict, line):
+    # a refuted verdict exits 3 after its verdict line: a wrong HOLDS, or a
+    # witness that is in both sides
+    monkeypatch.setattr(cli.Checker, "check", lambda self, lhs, rhs: verdict)
+    msg = "oracle disagreement: verdict not confirmed by the slice oracle\n"
+    for command in ("check", "equiv"):
+        code, out, err = run(capsys, command, *ABC, "--oracle-check", "(a|b)|c", "a|b")
+        assert (code, out, err) == (3, line + "\n", msg), command
+    code, out, err = run(capsys, "trace", *ABC, "--oracle-check", "(a|b)|c", "a|b")
+    assert (code, out, err) == (3, "", line + "\n" + msg)
 
 
 # -- errors and metrics --------------------------------------------------------------------

@@ -75,9 +75,18 @@ def test_inner_fuel_exhaustion_is_an_algebra_error(alg, monkeypatch):
     monkeypatch.setattr(regexalg, "shortest_word", exhausted)
     with pytest.raises(AlgebraError, match="^inner emptiness decision failed: fuel exhausted"):
         alg.is_empty(a)
-    monkeypatch.setattr(alg._checker, "check", exhausted)
-    with pytest.raises(AlgebraError, match="^inner containment decision failed: fuel exhausted"):
+    # inclusion is emptiness of a & !b, so it fails the same way
+    with pytest.raises(AlgebraError, match="^inner emptiness decision failed: fuel exhausted"):
         alg.is_subset(a, b)
+
+
+def test_inner_fuel_exhaustion_in_pick_witness_is_an_algebra_error(alg, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise FuelExhausted(7, 3)
+
+    monkeypatch.setattr(regexalg, "shortest_word", exhausted)
+    with pytest.raises(AlgebraError, match="^inner emptiness decision failed: fuel exhausted"):
+        alg.pick_witness(alg.set_of("a*"))
 
 
 def test_no_class_syntax(alg):
