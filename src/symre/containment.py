@@ -16,6 +16,8 @@ universal right side ``.*``, a left intersection among whose members is
 every conjunct of the right side (``L(r & s)`` is contained in ``L(r)``),
 and an empty right side, which the shortest-word search of the left side
 decides either way.  They never change a verdict, only the statistics.
+That search knows without searching that an intersection holding a member
+and its complement (``X & !X``) is empty, at its root and at every child.
 A traced check renders each node once: its events share one map of node
 texts, so each pair costs its new nodes only.
 
@@ -32,7 +34,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union as TypingUnion
 
 from .derivative import deriv_symbol, deriv_word
 from .nextlit import next_literals, pair_classes
-from .syntax import And, Epsilon, Ere, ExprBuilder, to_text
+from .syntax import And, Epsilon, Ere, ExprBuilder, Not, to_text
 
 DEFAULT_FUEL = 1 << 20
 
@@ -69,12 +71,15 @@ class Verdict:
 
 
 class FuelExhausted(RuntimeError):
-    """The defensive visited-pair cap was hit; this is a diagnostic, not a verdict."""
+    """A defensive cap was hit; this is a diagnostic, not a verdict.
 
-    def __init__(self, visited: int, max_depth: int):
-        super().__init__(
-            f"fuel exhausted after {visited} visited pairs (max depth {max_depth})"
-        )
+    ``visited`` is what the cap counted and ``max_depth`` how deep it went,
+    named by ``units``: the unfolding's visited pairs and depth, or the
+    emptiness search's nodes and word length.
+    """
+
+    def __init__(self, visited: int, max_depth: int, units=("visited pairs", "max depth")):
+        super().__init__(f"fuel exhausted after {visited} {units[0]} ({units[1]} {max_depth})")
         self.visited = visited
         self.max_depth = max_depth
 
@@ -97,13 +102,20 @@ def shortest_word(b: ExprBuilder, r: Ere, fuel: int = DEFAULT_FUEL) -> Optional[
     that runs out of nodes records every node it saw as empty: each of them
     reaches only non-nullable nodes through its per-class derivatives.
     Later searches answer a recorded node at once and never expand a child
-    already known to be empty.  Nothing is recorded when the fuel runs out.
+    already known to be empty.  An intersection that holds a member and its
+    complement is empty without a search: it is recorded as empty at the
+    root, and a child of that shape is skipped like a known-empty one.  The
+    word found stays the least, since an empty child has no nullable
+    descendant.  Nothing is recorded when the fuel runs out.
     """
     if r.nullable:
         return ()
     memo = b.word_cache
     if r.eid in memo:
         return memo[r.eid]
+    if _holds_a_complement(r):
+        memo[r.eid] = None
+        return None
     alg = b.algebra
     seen = {r.eid}
     queue: deque[tuple[Ere, tuple]] = deque([(r, ())])
@@ -116,9 +128,13 @@ def shortest_word(b: ExprBuilder, r: Ere, fuel: int = DEFAULT_FUEL) -> Optional[
             # a recorded None (a known-empty child) is skipped here.
             if child.eid in seen or memo.get(child.eid, ()) is None:
                 continue
+            if _holds_a_complement(child):
+                memo[child.eid] = None
+                continue
             seen.add(child.eid)
             if len(seen) > fuel:
-                raise FuelExhausted(len(seen), len(word) + 1)
+                units = ("emptiness-search nodes", "word length")
+                raise FuelExhausted(len(seen), len(word) + 1, units)
             grown = word + (a,)
             if child.nullable:
                 memo[r.eid] = grown
@@ -126,6 +142,23 @@ def shortest_word(b: ExprBuilder, r: Ere, fuel: int = DEFAULT_FUEL) -> Optional[
             queue.append((child, grown))
     memo.update(dict.fromkeys(seen))
     return None
+
+
+def _holds_a_complement(r: Ere) -> bool:
+    """Is ``r`` an intersection with members ``m`` and ``!m``, so empty?
+
+    ``m`` is a member, or an intersection all of whose members are members
+    (``&`` is flattened, so ``(x & y) & !(x & y)`` has the members ``x``,
+    ``y`` and ``!(x & y)``).  One set of member eids keeps this linear.
+    """
+    if type(r) is not And:
+        return False
+    eids = {m.eid for m in r.members}
+    return any(
+        type(m) is Not
+        and all(x.eid in eids for x in (m.inner.members if type(m.inner) is And else (m.inner,)))
+        for m in r.members
+    )
 
 
 class Checker:

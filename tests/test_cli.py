@@ -58,6 +58,14 @@ def test_fuel_exhaustion_exit_code(capsys):
     assert "fuel exhausted after" in err and "visited pairs" in err
 
 
+def test_emptiness_search_fuel_exhaustion_names_its_units(capsys):
+    # one visited pair, whose emptiness search runs out of fuel
+    argv = ["--alphabet", "bitset:ab", "--fuel", "5", "(a|b)*a(a|b)(a|b)(a|b)&.*b", "[]"]
+    code, out, err = run(capsys, "check", *argv)
+    assert code == 2 and not out
+    assert "fuel exhausted after 6 emptiness-search nodes (word length 3)" in err
+
+
 # -- equiv / match ----------------------------------------------------------------
 
 

@@ -17,7 +17,7 @@ from symre.derivative import deriv_symbol, neg_deriv, pos_deriv
 from symre.oracle import SliceOracle
 from symre.syntax import MAX_NESTING, ExprBuilder, to_text
 
-from exprgen import random_raw, raw_text
+from exprgen import C3_WEIGHTS, random_raw, raw_text
 
 
 @pytest.fixture
@@ -192,6 +192,7 @@ def test_shortest_word_fuel_exhaustion_is_an_error(b):
     with pytest.raises(FuelExhausted) as err:
         shortest_word(b, b.parse("abc"), fuel=1)
     assert (err.value.visited, err.value.max_depth) == (2, 1)
+    assert str(err.value) == "fuel exhausted after 2 emptiness-search nodes (word length 1)"
 
 
 @pytest.mark.parametrize(
@@ -358,6 +359,7 @@ NO_RECURSION_PROBES = [
     ("[ab]*" * 1500, "[ab]*"),
     ("|".join(_ab_word(i) for i in range(1, 3001)), "[ab]*"),
     ("&".join(_ab_word(i) for i in range(1, 3001)), "[ab]*"),
+    ("&".join(f"!({_ab_word(i)})" for i in range(1, 3001)) + "&" + _ab_word(1), "[ab]*"),
     ("!(" * (MAX_NESTING - 1) + "a" + ")" * (MAX_NESTING - 1), "[ab]*"),
 ]
 
@@ -436,11 +438,7 @@ def test_shortest_word(b):
         assert shortest_word(warm, r) == shortest_word(fresh, fresh.parse(raw_text(raw)))
 
 
-def test_emptiness_cost_is_linear_in_visited_pairs(b, monkeypatch):
-    # r & !r <= [] is one pair: the search for a shortest word of r & !r
-    # finds none, so the empty-language axiom closes it.  The search takes
-    # one symbol derivative per class of each node it reaches: 1024 nodes,
-    # two classes each
+def _count_search_derivatives(monkeypatch):
     searched = []
     original = containment.deriv_symbol
 
@@ -449,10 +447,69 @@ def test_emptiness_cost_is_linear_in_visited_pairs(b, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(containment, "deriv_symbol", counting)
-    r = b.parse("(a|b)*a" + "(a|b)" * 9)
+    return searched
+
+
+def test_emptiness_cost_is_linear_in_visited_pairs(b, monkeypatch):
+    # r & !r' <= [] is one pair: the search for a shortest word of r & !r'
+    # finds none, so the empty-language axiom closes it.  r' has r's language
+    # but another node, so the search takes one symbol derivative per class
+    # of each node it reaches: 1025 nodes, two classes each
+    searched = _count_search_derivatives(monkeypatch)
+    verdict = Checker(b).check(b.parse(f"{R_LANG}&{NOT_R}"), b.bottom())
+    assert verdict.holds and verdict.stats.visited == 1
+    assert len(searched) == 2050
+    # r & !r holds a member and its complement: empty without a search
+    r = b.parse(R_LANG)
+    searched.clear()
     verdict = Checker(b).check(b.and_(r, b.not_(r)), b.bottom())
     assert verdict.holds and verdict.stats.visited == 1
-    assert len(searched) == 2048
+    assert not searched
+
+
+def test_search_skips_a_child_holding_a_complement(monkeypatch):
+    # the a-child r & !r is skipped like a known-empty one: the root's two
+    # derivatives, then b's one
+    b = ExprBuilder(BitsetAlgebra("ab"))
+    searched = _count_search_derivatives(monkeypatch)
+    r = b.parse(f"a({R_LANG}&!({R_LANG}))|bb")
+    assert shortest_word(b, r) == ("b", "b")
+    assert len(searched) == 3
+    assert b.word_cache[deriv_symbol(b, "a", r).eid] is None
+
+
+@pytest.mark.parametrize(
+    "shape", ["({x})&!({x})&({y})", "(({x})&({y}))&!(({x})&({y}))", "a(({x})&!({x}))|({y})"]
+)
+def test_complement_shortcut_keeps_every_shortest_word(shape, monkeypatch):
+    # the shortcut skips only empty languages, so the search finds the same
+    # word, or none, with it and without it, each in a fresh builder
+    alg = BitsetAlgebra("ab")
+    rng = random.Random(45)
+    texts = [
+        shape.format(**{v: raw_text(random_raw(rng, alg, 8, C3_WEIGHTS)) for v in "xy"})
+        for _ in range(150)
+    ]
+
+    def words():
+        found = []
+        for text in texts:
+            fresh = ExprBuilder(alg)
+            found.append(shortest_word(fresh, fresh.parse(text)))
+        return found
+
+    hits = []
+    original = containment._holds_a_complement
+
+    def recorded(r):
+        hits.append(original(r))
+        return hits[-1]
+
+    monkeypatch.setattr(containment, "_holds_a_complement", recorded)
+    with_shortcut = words()
+    assert any(hits)
+    monkeypatch.setattr(containment, "_holds_a_complement", lambda r: False)
+    assert with_shortcut == words()
 
 
 # -- other algebras ------------------------------------------------------------------

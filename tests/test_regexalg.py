@@ -3,7 +3,7 @@ import random
 import pytest
 
 from symre.alphabet import AlgebraError
-from symre import regexalg
+from symre import containment, regexalg
 from symre.containment import Checker, FuelExhausted, membership, shortest_word
 from symre.regexalg import RegexAlgebra, RegexSet
 from symre.syntax import ExprBuilder
@@ -87,6 +87,20 @@ def test_inner_fuel_exhaustion_in_pick_witness_is_an_algebra_error(alg, monkeypa
     monkeypatch.setattr(regexalg, "shortest_word", exhausted)
     with pytest.raises(AlgebraError, match="^inner emptiness decision failed: fuel exhausted"):
         alg.pick_witness(alg.set_of("a*"))
+
+
+def test_inclusion_in_itself_or_a_conjunct_takes_no_search(alg, monkeypatch):
+    # s & !s, x & y & !x and x & y & !(x & y) hold a member, or all members
+    # of an intersection, and its complement, so the inner search answers
+    # them empty without a symbol derivative
+    searched = []
+    original = containment.deriv_symbol
+    monkeypatch.setattr(containment, "deriv_symbol", lambda *a: searched.append(a) or original(*a))
+    s, x, y = alg.set_of("(a|b)*a(a|b)"), alg.set_of("a*b"), alg.set_of("(ab)*")
+    xy = alg.intersect(x, y)
+    assert alg.is_subset(s, s) and alg.is_subset(xy, x) and alg.is_subset(xy, xy)
+    assert not searched
+    assert not alg.is_subset(x, y) and searched
 
 
 def test_no_class_syntax(alg):
