@@ -69,6 +69,12 @@ def _bool_flag(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -77,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="bitset:<chars>, unicode, or cofinite (default: unicode)",
     )
-    common.add_argument("--fuel", type=int, default=DEFAULT_FUEL, metavar="N",
-                        help="visited-pair cap guarding against engine bugs")
+    common.add_argument("--fuel", type=_positive_int, default=DEFAULT_FUEL, metavar="N",
+                        help="cap on visited pairs and on each emptiness search's nodes")
     common.add_argument("--no-axioms", action="store_true",
                         help="disable the prove/disprove fast paths")
     common.add_argument("--global-memo", type=_bool_flag, default=True, metavar="BOOL",

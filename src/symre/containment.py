@@ -16,8 +16,6 @@ universal right side ``.*``, a left intersection among whose members is
 every conjunct of the right side (``L(r & s)`` is contained in ``L(r)``),
 and an empty right side, which the shortest-word search of the left side
 decides either way.  They never change a verdict, only the statistics.
-That search knows without searching that an intersection holding a member
-and its complement (``X & !X``) is empty, at its root and at every child.
 A traced check renders each node once: its events share one map of node
 texts, so each pair costs its new nodes only.
 
@@ -34,7 +32,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union as TypingUnion
 
 from .derivative import deriv_symbol, deriv_word
 from .nextlit import next_literals, pair_classes
-from .syntax import And, Epsilon, Ere, ExprBuilder, Not, to_text
+from .syntax import And, Epsilon, Ere, ExprBuilder, to_text
 
 DEFAULT_FUEL = 1 << 20
 
@@ -102,20 +100,15 @@ def shortest_word(b: ExprBuilder, r: Ere, fuel: int = DEFAULT_FUEL) -> Optional[
     that runs out of nodes records every node it saw as empty: each of them
     reaches only non-nullable nodes through its per-class derivatives.
     Later searches answer a recorded node at once and never expand a child
-    already known to be empty.  An intersection that holds a member and its
-    complement is empty without a search: it is recorded as empty at the
-    root, and a child of that shape is skipped like a known-empty one.  The
-    word found stays the least, since an empty child has no nullable
-    descendant.  Nothing is recorded when the fuel runs out.
+    already known to be empty; the word found stays the least, since an
+    empty child has no nullable descendant.  Nothing is recorded when the
+    fuel runs out.
     """
     if r.nullable:
         return ()
     memo = b.word_cache
     if r.eid in memo:
         return memo[r.eid]
-    if _holds_a_complement(r):
-        memo[r.eid] = None
-        return None
     alg = b.algebra
     seen = {r.eid}
     queue: deque[tuple[Ere, tuple]] = deque([(r, ())])
@@ -128,9 +121,6 @@ def shortest_word(b: ExprBuilder, r: Ere, fuel: int = DEFAULT_FUEL) -> Optional[
             # a recorded None (a known-empty child) is skipped here.
             if child.eid in seen or memo.get(child.eid, ()) is None:
                 continue
-            if _holds_a_complement(child):
-                memo[child.eid] = None
-                continue
             seen.add(child.eid)
             if len(seen) > fuel:
                 units = ("emptiness-search nodes", "word length")
@@ -142,23 +132,6 @@ def shortest_word(b: ExprBuilder, r: Ere, fuel: int = DEFAULT_FUEL) -> Optional[
             queue.append((child, grown))
     memo.update(dict.fromkeys(seen))
     return None
-
-
-def _holds_a_complement(r: Ere) -> bool:
-    """Is ``r`` an intersection with members ``m`` and ``!m``, so empty?
-
-    ``m`` is a member, or an intersection all of whose members are members
-    (``&`` is flattened, so ``(x & y) & !(x & y)`` has the members ``x``,
-    ``y`` and ``!(x & y)``).  One set of member eids keeps this linear.
-    """
-    if type(r) is not And:
-        return False
-    eids = {m.eid for m in r.members}
-    return any(
-        type(m) is Not
-        and all(x.eid in eids for x in (m.inner.members if type(m.inner) is And else (m.inner,)))
-        for m in r.members
-    )
 
 
 class Checker:

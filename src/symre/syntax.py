@@ -9,7 +9,9 @@ constructors apply exactly these language-preserving rewrites:
   merged into a single literal (``a|b`` becomes ``[ab]``);
 * concatenation: ``[]`` annihilates, ``()`` is dropped, spines lean right;
 * star: ``r** = r*``, ``()* = ()``, ``[]* = ()``;
-* intersection: flattened, sorted, duplicate-free, ``[]`` annihilates;
+* intersection: flattened, sorted, duplicate-free, ``[]`` annihilates, and
+  a member beside its complement is ``[]`` (``r & !r``; when ``r`` is itself
+  an intersection, all of its members are members: ``a & c & !(a&c)``);
 * complement: double negation cancels.
 
 The empty expression is represented as the empty-class literal ``[]`` and
@@ -209,6 +211,12 @@ class ExprBuilder:
                 if m is bottom:
                     return bottom
                 members[m.eid] = m
+        # A member beside its complement: ``X & !X``, or ``x & y & !(x & y)``.
+        for m in members.values():
+            if type(m) is Not:
+                operands = m.inner.members if type(m.inner) is And else (m.inner,)
+                if all(x.eid in members for x in operands):
+                    return bottom
         return self._intern_members("and", And, members, all)
 
     def _intern_members(self, tag: str, ctor: Callable, members: dict, nullable: Callable) -> Ere:

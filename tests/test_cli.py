@@ -66,6 +66,14 @@ def test_emptiness_search_fuel_exhaustion_names_its_units(capsys):
     assert "fuel exhausted after 6 emptiness-search nodes (word length 3)" in err
 
 
+@pytest.mark.parametrize("fuel", ["0", "-3", "x"])
+def test_fuel_below_one_is_a_usage_error(capsys, fuel):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", *ABC, "--fuel", fuel, "a", "a"])
+    assert exc.value.code == 2
+    assert "--fuel" in capsys.readouterr().err
+
+
 # -- equiv / match ----------------------------------------------------------------
 
 

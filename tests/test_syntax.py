@@ -72,6 +72,14 @@ def test_and_rules(b):
     # literals under & are kept separate, unlike union
     both = b.and_(a, c)
     assert isinstance(both, And) and len(both.members) == 2
+    # a member beside its complement is [], an intersection's complement
+    # once all of the intersection's members are members
+    x = b.parse("b*")
+    assert b.and_(a, b.not_(a)) is b.bottom()
+    assert b.and_(both, b.not_(both)) is b.bottom()
+    assert b.and_(b.not_(both), a, c, x) is b.bottom()
+    assert b.and_(b.not_(b.and_(a, c, x)), a, c) is not b.bottom()
+    assert b.parse("a((a|b)*a&!((a|b)*a))|bb") is b.parse("bb")
 
 
 def test_double_negation(b):
@@ -209,8 +217,17 @@ def test_normalization_preserves_language():
 
     oracle = SliceOracle(b, 6)
     rng = random.Random(11)
-    for _ in range(300):
-        raw = random_raw(rng, alg, 9)
+    raws = [random_raw(rng, alg, 9) for _ in range(300)]
+    # the shapes the rule X & !X = [] rewrites, around random x and y
+    a = ("lit", alg.from_chars("a"))
+    for _ in range(20):
+        x, y = random_raw(rng, alg, 4), random_raw(rng, alg, 4)
+        raws += [
+            ("and", ("and", x, ("not", x)), y),
+            ("and", ("and", x, y), ("not", ("and", x, y))),
+            ("union", ("concat", a, ("and", x, ("not", x))), y),
+        ]
+    for raw in raws:
         assert oracle.slice(b.parse(raw_text(raw))) == frozenset(_raw_slice(raw, alg.symbols, 6))
 
 

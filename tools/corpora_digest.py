@@ -10,6 +10,12 @@ query that runs out of fuel records ``["FuelExhausted", visited]`` instead,
 and its visited pairs count in the total.  The path-scoped mode runs under
 ``SCOPED_FUEL``, because it blows up on one pair of the ``abc12`` corpus.
 
+A last line per corpus, in the ``shortlex`` column, digests the answers in
+language terms: each outcome is ``[holds, witness]`` with the witness the
+shortlex-least word of ``r & !s`` (``shortest_word``), or ``None`` when that
+language is empty.  It depends on no checker mode, and an engine change that
+moves only the path a witness was found along leaves it as it is.
+
 The corpora are ``C3_CORPORA`` of ``tests/exprgen.py``, the random pairs of
 acceptance criterion 3.  Two trees that give the same digests answer every
 query alike, witnesses included.
@@ -26,7 +32,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from exprgen import C3_CORPORA, c3_corpus  # noqa: E402
-from symre.containment import Checker, FuelExhausted  # noqa: E402
+from symre.containment import Checker, FuelExhausted, shortest_word  # noqa: E402
 
 SCOPED_FUEL = 10_000
 
@@ -37,13 +43,13 @@ MODES = {
 }
 
 
-def digest(name: str, mode: str) -> tuple[str, int, int]:
-    """The outcome digest, the number of queries that hold and the visited
-    total of corpus ``name`` under checker mode ``mode``."""
+def check_outcomes(name: str, mode: str) -> tuple[list, int]:
+    """The outcome of each query of corpus ``name`` under checker mode
+    ``mode``, and their visited total."""
     b, _, pairs = c3_corpus(name)
     chk = Checker(b, **MODES[mode])
     outcomes = []
-    holds = visited = 0
+    visited = 0
     for r, s in pairs:
         try:
             v = chk.check(r, s)
@@ -52,17 +58,35 @@ def digest(name: str, mode: str) -> tuple[str, int, int]:
             visited += err.visited
             continue
         outcomes.append([v.holds, v.witness])
-        holds += v.holds
         visited += v.stats.visited
+    return outcomes, visited
+
+
+def shortlex_outcomes(name: str) -> list:
+    """``[holds, shortlex-least witness]`` of each query of corpus ``name``."""
+    b, _, pairs = c3_corpus(name)
+    outcomes = []
+    for r, s in pairs:
+        word = shortest_word(b, b.and_(r, b.not_(s)))
+        outcomes.append([word is None, None if word is None else b.algebra.word_of(word)])
+    return outcomes
+
+
+def sha256(outcomes: list) -> str:
     text = json.dumps(outcomes, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest(), holds, visited
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def main() -> None:
     for mode in MODES:
         for name in C3_CORPORA:
-            sha, holds, visited = digest(name, mode)
-            print(f"{name:6s} {mode:8s} sha256={sha} holds={holds} visited={visited}")
+            outcomes, visited = check_outcomes(name, mode)
+            holds = sum(o[0] is True for o in outcomes)
+            print(f"{name:6s} {mode:8s} sha256={sha256(outcomes)} holds={holds} visited={visited}")
+    for name in C3_CORPORA:
+        outcomes = shortlex_outcomes(name)
+        holds = sum(o[0] for o in outcomes)
+        print(f"{name:6s} shortlex sha256={sha256(outcomes)} holds={holds}")
 
 
 if __name__ == "__main__":
