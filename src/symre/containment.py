@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union as TypingUnion
 
-from .derivative import deriv_symbol, deriv_word
+from .derivative import deriv_symbol, deriv_word, partial_derivatives
 from .nextlit import next_literals, pair_classes
 from .syntax import And, Epsilon, Ere, ExprBuilder, to_text
 
@@ -91,18 +91,22 @@ def shortest_word(b: ExprBuilder, r: Ere, fuel: int = DEFAULT_FUEL) -> Optional[
     """Shortest (then least) member of the language as a symbol tuple.
 
     Returns ``None`` when the language is empty.  Breadth-first search over
-    the derivative graph, expanding next literals in canonical order, so
-    the result is the least word under the shortlex order induced by the
+    partial derivatives (``partial_derivatives``): each queued word carries
+    the group of terms it reaches first, as a term reached again later has
+    the same words ahead of it.  A group steps by the witnesses of its
+    terms' next literals in the algebra's symbol order, each across every
+    term of the group, so the words are queued in shortlex order and the
+    result is the least word under the shortlex order induced by the
     algebra's symbol order.
 
     Answers are memoized in the builder's ``word_cache``, which is not
     thread-safe.  A search that finds a word records it for ``r``.  A search
-    that runs out of nodes records every node it saw as empty: each of them
-    reaches only non-nullable nodes through its per-class derivatives.
-    Later searches answer a recorded node at once and never expand a child
-    already known to be empty; the word found stays the least, since an
-    empty child has no nullable descendant.  Nothing is recorded when the
-    fuel runs out.
+    that runs out of terms records every term it saw as empty: each of them
+    reaches only non-nullable terms through its per-class partial
+    derivatives.  Later searches answer a recorded node at once and never
+    keep a term already known to be empty; the word found stays the least,
+    since an empty term has no nullable descendant.  Nothing is recorded
+    when the fuel runs out.
     """
     if r.nullable:
         return ()
@@ -111,25 +115,33 @@ def shortest_word(b: ExprBuilder, r: Ere, fuel: int = DEFAULT_FUEL) -> Optional[
         return memo[r.eid]
     alg = b.algebra
     seen = {r.eid}
-    queue: deque[tuple[Ere, tuple]] = deque([(r, ())])
+    queue: deque[tuple[tuple, list[Ere]]] = deque([((), [r])])
     while queue:
-        node, word = queue.popleft()
-        for a_set in next_literals(b, node):
-            a = alg.pick_witness(a_set)
-            child = deriv_symbol(b, a, node)
-            # The default () is never stored for a non-nullable node, so only
-            # a recorded None (a known-empty child) is skipped here.
-            if child.eid in seen or memo.get(child.eid, ()) is None:
-                continue
-            seen.add(child.eid)
-            if len(seen) > fuel:
-                units = ("emptiness-search nodes", "word length")
-                raise FuelExhausted(len(seen), len(word) + 1, units)
-            grown = word + (a,)
-            if child.nullable:
-                memo[r.eid] = grown
-                return grown
-            queue.append((child, grown))
+        word, terms = queue.popleft()
+        if len(terms) == 1:
+            symbols = map(alg.pick_witness, next_literals(b, terms[0]))
+        else:
+            witnesses = {alg.pick_witness(s): None for t in terms for s in next_literals(b, t)}
+            symbols = sorted(witnesses, key=alg.symbol_key)
+        for a in symbols:
+            group = []
+            for term in terms:
+                for child in partial_derivatives(b, a, term):
+                    # The default () is never stored for a non-nullable
+                    # term, so only a recorded None (a known-empty term) is
+                    # skipped here.
+                    if child.eid in seen or memo.get(child.eid, ()) is None:
+                        continue
+                    seen.add(child.eid)
+                    if len(seen) > fuel:
+                        units = ("emptiness-search nodes", "word length")
+                        raise FuelExhausted(len(seen), len(word) + 1, units)
+                    if child.nullable:
+                        grown = memo[r.eid] = word + (a,)
+                        return grown
+                    group.append(child)
+            if group:
+                queue.append((word + (a,), group))
     memo.update(dict.fromkeys(seen))
     return None
 

@@ -18,10 +18,18 @@ a long chain of nullable heads costs no recursion depth.
 
 A symbol outside the algebra's universe is in no language, so every
 derivative by it is ``[]``, a complement's included.
+
+The fourth operator, ``partial_derivatives``, splits the symbol derivative
+into Antimirov's terms, with an ``&`` as the product of its members' terms
+(Caron, Champarnaud and Mignot, LATA 2011).  The emptiness search steps by
+it and never builds the union of the terms: before the shortest word of
+``r & .*b`` with ``r = (a|b)*a(a|b){n}``, it meets a few terms per word
+length, where a search over symbol derivatives meets about 2^n nodes.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable
 
 from .alphabet import AlgebraError, SymbolSet
@@ -122,6 +130,53 @@ def _deriv_concat(b: ExprBuilder, kind: str, x, r: Concat) -> Ere:
     for node, step in reversed(chain):
         out = cache[(kind, x, node.eid)] = b.union(step, out)
     return out
+
+
+def partial_derivatives(b: ExprBuilder, a, r: Ere) -> tuple[Ere, ...]:
+    """The distinct terms, none ``[]``, whose union is the derivative of
+    ``r`` by the symbol ``a``.
+
+    ``|`` unites its members' terms, a concatenation and a star put their
+    tail after each term of the head, and an ``&`` with no ``!`` member is
+    the ``&`` of each combination of its members' terms.  A ``!``, or an
+    ``&`` with a ``!`` member, is one term, its symbol derivative, dropped
+    when that is ``[]``; ``deriv_symbol`` memoizes it.  The other terms are
+    memoized under ``("part", a, r.eid)``.
+    """
+    if type(r) is Not or type(r) is And and Not in map(type, r.members):
+        d = deriv_symbol(b, a, r)
+        return () if d is b.bottom() else (d,)
+    key = ("part", a, r.eid)
+    out = b.deriv_cache.get(key)
+    if out is None:
+        out = b.deriv_cache[key] = _split(b, a, r)
+    return out
+
+
+def _split(b: ExprBuilder, a, r: Ere) -> tuple[Ere, ...]:
+    if isinstance(r, Epsilon):
+        return ()
+    if isinstance(r, Literal):
+        return (b.epsilon(),) if b.algebra.contains(r.symbols, a) else ()
+    if isinstance(r, Union):
+        terms = [t for m in r.members for t in partial_derivatives(b, a, m)]
+    elif isinstance(r, Star):
+        return tuple(b.concat(p, r) for p in partial_derivatives(b, a, r.inner))
+    elif isinstance(r, And):
+        combos = product(*(partial_derivatives(b, a, m) for m in r.members))
+        terms = [t for t in (b.and_(*c) for c in combos) if t is not b.bottom()]
+    else:
+        # A loop down the chain of nullable heads, so it costs no recursion.
+        terms = []
+        while True:
+            terms += [b.concat(p, r.tail) for p in partial_derivatives(b, a, r.head)]
+            if not r.head.nullable:
+                break
+            r = r.tail
+            if not isinstance(r, Concat):
+                terms += partial_derivatives(b, a, r)
+                break
+    return tuple(dict.fromkeys(terms))
 
 
 def deriv_literal(b: ExprBuilder, a_set: SymbolSet, r: Ere) -> Ere:

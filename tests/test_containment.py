@@ -438,24 +438,51 @@ def test_shortest_word(b):
         assert shortest_word(warm, r) == shortest_word(fresh, fresh.parse(raw_text(raw)))
 
 
-def _count_search_derivatives(monkeypatch):
+def test_shortest_word_orders_terms_that_share_a_word():
+    # ab|aa steps by a to the terms b and a; a search that queued them one by
+    # one would find ab before aa
+    b = ExprBuilder(BitsetAlgebra("ab"))
+    assert shortest_word(b, b.parse("ab|aa")) == ("a", "a")
+
+
+def test_shortest_word_is_the_least_word_of_the_slice():
+    # the slice oracle takes no derivative: wherever the slice up to length 6
+    # has a word, the search returns its shortlex-least one, and elsewhere no
+    # word of length 6 or less.  One builder, warmed by every earlier search,
+    # answers them all
+    b = ExprBuilder(BitsetAlgebra("ab"))
+    oracle = SliceOracle(b, 6)
+    rng = random.Random(0)
+    exprs = [b.parse(raw_text(random_raw(rng, b.algebra, 10, C3_WEIGHTS))) for _ in range(600)]
+    exprs += [b.and_(r, s) for r, s in zip(exprs, exprs[1:])]
+    for r in exprs:
+        word = shortest_word(b, r)
+        words = oracle.slice(r)
+        if words:
+            assert word == tuple(min(words, key=lambda w: (len(w), w))), to_text(r)
+        else:
+            assert word is None or len(word) > 6, to_text(r)
+
+
+def _count_search_steps(monkeypatch):
     searched = []
-    original = containment.deriv_symbol
+    original = containment.partial_derivatives
 
     def counting(*args):
         searched.append(args)
         return original(*args)
 
-    monkeypatch.setattr(containment, "deriv_symbol", counting)
+    monkeypatch.setattr(containment, "partial_derivatives", counting)
     return searched
 
 
 def test_emptiness_cost_is_linear_in_visited_pairs(b, monkeypatch):
     # r & !r' <= [] is one pair: the search for a shortest word of r & !r'
     # finds none, so the empty-language axiom closes it.  r' has r's language
-    # but another node, so the search takes one symbol derivative per class
-    # of each node it reaches: 1025 nodes, two classes each
-    searched = _count_search_derivatives(monkeypatch)
+    # but another node, so the search takes one step per class of each term
+    # it reaches; an & with a ! member is one term, its symbol derivative:
+    # 1025 terms, two classes each
+    searched = _count_search_steps(monkeypatch)
     verdict = Checker(b).check(b.parse(f"{R_LANG}&{NOT_R}"), b.bottom())
     assert verdict.holds and verdict.stats.visited == 1
     assert len(searched) == 2050
@@ -466,6 +493,26 @@ def test_emptiness_cost_is_linear_in_visited_pairs(b, monkeypatch):
     verdict = Checker(b).check(b.and_(r, b.not_(r)), b.bottom())
     assert verdict.holds and verdict.stats.visited == 1
     assert not searched
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_emptiness_search_is_linear_on_intersections_without_complement(n, monkeypatch):
+    # With r = (a|b)*a(a|b){n}, a search over symbol derivatives takes
+    # 2^(n+1)+4 steps for r & .*b and 2^(n+1)+2 for r & b.*.  The partial
+    # derivatives of r are r and its suffixes (a|b){k}, and an & of such a
+    # term with one of .*b or b.* is a product of term sets, so the search
+    # meets a few new terms per word length.  To a^n b it steps twice at
+    # each of the n+1 lengths before it; to b a^(n+1), once at the root
+    # (only b starts a word), twice after b, and once after each b a^k,
+    # 0 < k <= n, whose only class is [ab]
+    b = ExprBuilder(BitsetAlgebra("ab"))
+    r = "(a|b)*a" + "(a|b)" * n
+    searched = _count_search_steps(monkeypatch)
+    assert shortest_word(b, b.parse(f"({r})&.*b")) == ("a",) * n + ("b",)
+    assert len(searched) == 2 * n + 2
+    searched.clear()
+    assert shortest_word(b, b.parse(f"({r})&b.*")) == ("b",) + ("a",) * (n + 1)
+    assert len(searched) == n + 3
 
 
 @pytest.mark.parametrize("alg", [FiniteCofiniteAlgebra(), IntervalAlgebra()])

@@ -8,6 +8,7 @@ from symre.derivative import (
     deriv_symbol,
     deriv_word,
     neg_deriv,
+    partial_derivatives,
     pos_deriv,
     refines_next,
 )
@@ -15,7 +16,7 @@ from symre.nextlit import next_literals, partition_union
 from symre.oracle import SliceOracle
 from symre.syntax import And, Concat, ExprBuilder, Literal, Not, Star, Union, to_text
 
-from exprgen import random_raw, random_set, raw_text
+from exprgen import C3_WEIGHTS, random_raw, random_set, raw_text
 
 N = 6
 
@@ -208,6 +209,42 @@ def test_symbol_derivative_of_a_long_nullable_chain(two):
     both = alg.from_chars("ab")
     assert pos_deriv(two, both, r) is two.union(*chain[:-1], two.epsilon())
     assert neg_deriv(two, both, r) is two.bottom()
+
+
+# -- partial derivatives -----------------------------------------------------------
+
+
+def test_partial_derivative_cases(two):
+    p = two.parse
+    assert partial_derivatives(two, "a", p("()")) == ()
+    assert partial_derivatives(two, "a", p("b")) == ()
+    assert partial_derivatives(two, "a", p("[ab]")) == (two.epsilon(),)
+    assert set(partial_derivatives(two, "a", p("ab|aa"))) == {p("a"), p("b")}
+    assert set(partial_derivatives(two, "a", p("(a|())ab"))) == {p("ab"), p("b")}
+    assert set(partial_derivatives(two, "a", p("(ab|a)*"))) == {p("b(ab|a)*"), p("(ab|a)*")}
+    # an & without ! is the product of its members' terms; ! and an & with
+    # a ! member are one term, their symbol derivative
+    product = {two.and_(x, y) for x in (p("b"), p("a*")) for y in (p(".*a"), p("()"))}
+    assert set(partial_derivatives(two, "a", p("(ab|aa*)&.*a"))) == product
+    for text in ("!(ab|aa)", "(ab|aa)&!b", "a&!()"):
+        assert partial_derivatives(two, "a", p(text)) == (deriv_symbol(two, "a", p(text)),)
+    # ... and none when that is []
+    assert deriv_symbol(two, "b", p("a&!()")) is two.bottom()
+    assert partial_derivatives(two, "b", p("a&!()")) == ()
+
+
+def test_partial_derivatives_split_the_symbol_derivative(two):
+    # the terms are distinct, none is [], and their union has the language
+    # of the symbol derivative
+    oracle = SliceOracle(two, 5)
+    rng = random.Random(23)
+    for _ in range(300):
+        r = two.parse(raw_text(random_raw(rng, two.algebra, 10, C3_WEIGHTS)))
+        for a in "ab":
+            terms = partial_derivatives(two, a, r)
+            assert len(set(terms)) == len(terms) and two.bottom() not in terms
+            union = frozenset().union(*(oracle.slice(t) for t in terms))
+            assert union == oracle.slice(deriv_symbol(two, a, r)), to_text(r)
 
 
 # -- word derivative ---------------------------------------------------------------

@@ -92,10 +92,12 @@ def test_inner_fuel_exhaustion_in_pick_witness_is_an_algebra_error(alg, monkeypa
 def test_inclusion_in_itself_or_a_conjunct_takes_no_search(alg, monkeypatch):
     # s & !s, x & y & !x and x & y & !(x & y) hold a member, or all members
     # of an intersection, and its complement, so the inner search answers
-    # them empty without a symbol derivative
+    # them empty without a search step
     searched = []
-    original = containment.deriv_symbol
-    monkeypatch.setattr(containment, "deriv_symbol", lambda *a: searched.append(a) or original(*a))
+    original = containment.partial_derivatives
+    monkeypatch.setattr(
+        containment, "partial_derivatives", lambda *a: searched.append(a) or original(*a)
+    )
     s, x, y = alg.set_of("(a|b)*a(a|b)"), alg.set_of("a*b"), alg.set_of("(ab)*")
     xy = alg.intersect(x, y)
     assert alg.is_subset(s, s) and alg.is_subset(xy, x) and alg.is_subset(xy, xy)

@@ -14,7 +14,11 @@ A last line per corpus, in the ``shortlex`` column, digests the answers in
 language terms: each outcome is ``[holds, witness]`` with the witness the
 shortlex-least word of ``r & !s`` (``shortest_word``), or ``None`` when that
 language is empty.  It depends on no checker mode, and an engine change that
-moves only the path a witness was found along leaves it as it is.
+moves only the path a witness was found along leaves it as it is.  An
+``intersection`` line per corpus digests the shortlex-least word of
+``r & s`` of each pair, or ``None`` when that language is empty, and counts
+the empty ones: ``r & !s`` keeps its ``!``, so the emptiness search takes it
+as one term, while ``r & s`` is mostly a product of the two sides' terms.
 
 The corpora are ``C3_CORPORA`` of ``tests/exprgen.py``, the random pairs of
 acceptance criterion 3.  Two trees that give the same digests answer every
@@ -72,6 +76,14 @@ def shortlex_outcomes(name: str) -> list:
     return outcomes
 
 
+def intersection_outcomes(name: str) -> list:
+    """The shortlex-least word of ``r & s`` of each pair of corpus ``name``,
+    or ``None`` when that language is empty."""
+    b, _, pairs = c3_corpus(name)
+    words = (shortest_word(b, b.and_(r, s)) for r, s in pairs)
+    return [None if word is None else b.algebra.word_of(word) for word in words]
+
+
 def sha256(outcomes: list) -> str:
     text = json.dumps(outcomes, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -87,6 +99,10 @@ def main() -> None:
         outcomes = shortlex_outcomes(name)
         holds = sum(o[0] for o in outcomes)
         print(f"{name:6s} shortlex sha256={sha256(outcomes)} holds={holds}")
+    for name in C3_CORPORA:
+        outcomes = intersection_outcomes(name)
+        empty = outcomes.count(None)
+        print(f"{name:6s} intersection sha256={sha256(outcomes)} empty={empty}")
 
 
 if __name__ == "__main__":
