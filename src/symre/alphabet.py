@@ -370,12 +370,23 @@ class FiniteCofiniteAlgebra(_CodepointAlgebra):
     and for canonicalization; no operation ever enumerates the universe.
     ``scan_steps`` counts every symbol actually visited by an enumeration
     and exists purely as instrumentation.
+
+    The algebra pays for each distinct set and operation once: ``_memo``
+    interns every set, so equal denotations are one object, and maps each
+    class (by its clipped ranges and negation), each ``union`` and
+    ``intersect`` (by operands) and each finite-set witness to its result.
+    It is a plain dict that lives as long as the algebra, like the
+    builder's memos, and like the builder the algebra is not thread-safe.
+    A set of another algebra never equals a key, so it misses the memo and
+    ``_own`` rejects it; an over-limit class raises on every call and is
+    never stored.
     """
 
     def __init__(self, min_codepoint: int = 0, max_codepoint: int = MAX_CODEPOINT):
         super().__init__(min_codepoint, max_codepoint)
         self.size = max_codepoint - min_codepoint + 1
         self.scan_steps = 0
+        self._memo: dict = {}
 
     def _make(self, cofinite: bool, members: frozenset[str]) -> FcSet:
         # Canonical tag: the explicitly stored part is the smaller of the
@@ -383,10 +394,11 @@ class FiniteCofiniteAlgebra(_CodepointAlgebra):
         explicit = len(members)
         denoted = self.size - explicit if cofinite else explicit
         if cofinite and denoted <= explicit:
-            return FcSet(self, False, self._enumerate_complement(members))
-        if not cofinite and self.size - denoted < denoted:
-            return FcSet(self, True, self._enumerate_complement(members))
-        return FcSet(self, cofinite, members)
+            cofinite, members = False, self._enumerate_complement(members)
+        elif not cofinite and self.size - denoted < denoted:
+            cofinite, members = True, self._enumerate_complement(members)
+        s = FcSet(self, cofinite, members)
+        return self._memo.setdefault(s, s)
 
     def _enumerate_complement(self, members: frozenset[str]) -> frozenset[str]:
         points = sorted((ord(c), ord(c)) for c in members)
@@ -394,37 +406,56 @@ class FiniteCofiniteAlgebra(_CodepointAlgebra):
         self.scan_steps += len(out) + len(members)
         return frozenset(out)
 
+    def _symbols(self, chars: Iterable[str]) -> frozenset[str]:
+        members = frozenset(chars)
+        for c in members:
+            if not self.min_codepoint <= ord(c) <= self.max_codepoint:
+                raise AlgebraError(f"symbol {c!r} is not in the alphabet")
+        return members
+
     def bottom(self) -> FcSet:
-        return FcSet(self, False, frozenset())
+        return self._make(False, frozenset())
 
     def top(self) -> FcSet:
         return self._make(True, frozenset())
 
     def finite(self, chars: Iterable[str]) -> FcSet:
-        return self._make(False, frozenset(chars))
+        return self._make(False, self._symbols(chars))
 
     def cofinite(self, excluded: Iterable[str]) -> FcSet:
-        return self._make(True, frozenset(excluded))
+        return self._make(True, self._symbols(excluded))
 
     def union(self, a: FcSet, b: FcSet) -> FcSet:
-        self._own(a, b)
-        if a.cofinite and b.cofinite:
-            return self._make(True, a.members & b.members)
-        if a.cofinite:
-            return self._make(True, a.members - b.members)
-        if b.cofinite:
-            return self._make(True, b.members - a.members)
-        return self._make(False, a.members | b.members)
+        key = ("|", a, b)
+        out = self._memo.get(key)
+        if out is None:
+            self._own(a, b)
+            if a.cofinite and b.cofinite:
+                out = self._make(True, a.members & b.members)
+            elif a.cofinite:
+                out = self._make(True, a.members - b.members)
+            elif b.cofinite:
+                out = self._make(True, b.members - a.members)
+            else:
+                out = self._make(False, a.members | b.members)
+            self._memo[key] = out
+        return out
 
     def intersect(self, a: FcSet, b: FcSet) -> FcSet:
-        self._own(a, b)
-        if a.cofinite and b.cofinite:
-            return self._make(True, a.members | b.members)
-        if a.cofinite:
-            return self._make(False, b.members - a.members)
-        if b.cofinite:
-            return self._make(False, a.members - b.members)
-        return self._make(False, a.members & b.members)
+        key = ("&", a, b)
+        out = self._memo.get(key)
+        if out is None:
+            self._own(a, b)
+            if a.cofinite and b.cofinite:
+                out = self._make(True, a.members | b.members)
+            elif a.cofinite:
+                out = self._make(False, b.members - a.members)
+            elif b.cofinite:
+                out = self._make(False, a.members - b.members)
+            else:
+                out = self._make(False, a.members & b.members)
+            self._memo[key] = out
+        return out
 
     def complement(self, a: FcSet) -> FcSet:
         self._own(a)
@@ -445,7 +476,11 @@ class FiniteCofiniteAlgebra(_CodepointAlgebra):
         if self.is_empty(a):
             raise AlgebraError("cannot pick a witness from the empty set")
         if not a.cofinite:
-            return min(a.members, key=ord)
+            key = ("min", a)
+            out = self._memo.get(key)
+            if out is None:
+                out = self._memo[key] = min(a.members)
+            return out
         for cp in range(self.min_codepoint, self.max_codepoint + 1):
             self.scan_steps += 1
             if chr(cp) not in a.members:
@@ -458,14 +493,18 @@ class FiniteCofiniteAlgebra(_CodepointAlgebra):
 
     def class_set(self, items: Sequence[tuple[int, int]], negate: bool) -> FcSet:
         ivs = _clip(self, items)
-        total = sum(hi - lo + 1 for lo, hi in ivs)
-        if total > self.CLASS_EXPANSION_LIMIT:
-            raise AlgebraError(
-                "character class too large for the finite/cofinite algebra"
-            )
-        self.scan_steps += total
-        chars = frozenset(chr(cp) for lo, hi in ivs for cp in range(lo, hi + 1))
-        return self._make(negate, chars)
+        key = ("[]", ivs, negate)
+        out = self._memo.get(key)
+        if out is None:
+            total = sum(hi - lo + 1 for lo, hi in ivs)
+            if total > self.CLASS_EXPANSION_LIMIT:
+                raise AlgebraError(
+                    "character class too large for the finite/cofinite algebra"
+                )
+            self.scan_steps += total
+            chars = frozenset().union(*(map(chr, range(lo, hi + 1)) for lo, hi in ivs))
+            out = self._memo[key] = self._make(negate, chars)
+        return out
 
     def _class_items(self, a: FcSet) -> tuple[bool, tuple[tuple[int, int], ...]]:
         # The stored part as it is, so rendering never enumerates a complement.

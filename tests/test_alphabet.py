@@ -63,6 +63,9 @@ def test_canonical_representations(case):
     assert x == y
     assert alg.is_equal(x, y)
     assert hash(x) == hash(y)
+    if alg is FC:
+        # the finite/cofinite algebra interns its sets
+        assert x is y
 
 
 @given(law_cases)
@@ -180,6 +183,19 @@ def test_mixing_algebras_rejected():
     one, two = BitsetAlgebra("ab"), BitsetAlgebra("ab")
     with pytest.raises(AlgebraError):
         one.union(one.top(), two.top())
+    # an equal-looking set of another finite/cofinite algebra misses a warm
+    # memo and is still rejected
+    fc, other = FiniteCofiniteAlgebra(), FiniteCofiniteAlgebra()
+    mine, theirs = fc.finite("ab"), other.finite("ab")
+    for op in (fc.union, fc.intersect):
+        op(mine, mine)
+        with pytest.raises(AlgebraError):
+            op(mine, theirs)
+        with pytest.raises(AlgebraError):
+            op(theirs, mine)
+    fc.pick_witness(mine)
+    with pytest.raises(AlgebraError):
+        fc.pick_witness(theirs)
 
 
 def test_constructors_reject_bad_input():
@@ -191,6 +207,12 @@ def test_constructors_reject_bad_input():
         for lo, hi in ((5, 4), (-1, 10), (0, 0x110000)):
             with pytest.raises(AlgebraError, match="^invalid codepoint range$"):
                 cls(lo, hi)
+    # a symbol outside the codepoint range would make a set that contains
+    # nothing yet is not empty, and a cofinite set equal to top yet unequal
+    for make in (FC.finite, FC.cofinite):
+        for chars in ("A", "aA", "{"):
+            with pytest.raises(AlgebraError, match="^symbol '[A{]' is not in the alphabet$"):
+                make(chars)
 
 
 def test_subset_via_complement_definition():
@@ -233,8 +255,29 @@ def test_format_set_round_trips(case):
 
 def test_class_expansion_limit():
     alg = FiniteCofiniteAlgebra()
-    with pytest.raises(AlgebraError):
-        alg.class_set([(0, 0x10FFFF)], False)
+    # refused on every call, and never stored
+    for _ in range(2):
+        with pytest.raises(AlgebraError):
+            alg.class_set([(0, 0x10FFFF)], False)
+    assert alg.scan_steps == 0 and not alg._memo
+
+
+def test_a_class_is_expanded_once_per_algebra():
+    alg = FiniteCofiniteAlgebra()
+    cjk = parse_class_text("[\\u{4e00}-\\u{9fff}]", alg)
+    assert alg.scan_steps == 0x9FFF - 0x4E00 + 1 == 20992
+    assert parse_class_text("[\\u{4e00}-\\u{9fff}]", alg) is cjk
+    assert alg.scan_steps == 20992
+    # the memo key is the merged ranges, however the class spells them
+    abc = parse_class_text("[a-c]", alg)
+    assert parse_class_text("[cba]", alg) is abc
+    assert alg.scan_steps == 20992 + 3
+    negated = parse_class_text("[^a-c]", alg)
+    assert negated is not abc and negated is alg.complement(abc)
+    # another algebra expands the class again
+    fresh = FiniteCofiniteAlgebra()
+    assert parse_class_text("[\\u{4e00}-\\u{9fff}]", fresh) != cjk
+    assert fresh.scan_steps == 20992
 
 
 def test_merge_intervals():

@@ -1,0 +1,80 @@
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
+_spec = importlib.util.spec_from_file_location("bench_record", TOOL)
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+# What ``bench/run.py --workload all`` prints: metric lines per workload, and
+# other lines (a referee message, a result line) that are not metrics.
+OUTPUT = """\
+mixed_queries setup_s = 0.0318 s
+mixed_queries queries_per_s = 1261.9 1/s
+mixed_queries wrong_verdicts = 0 count
+wrong: not a metric line
+emptiness queries_per_s = 2786.69 1/s
+emptiness peak_rss_mb = 19.2461 MB
+{"correct": true, "attempted": 15, "failed": 0, "metrics": {}}
+"""
+
+
+def test_parses_metric_lines_only():
+    metrics = bench_record.parse_metrics(OUTPUT)
+    assert metrics == {
+        "mixed_queries": {
+            "setup_s": {"value": 0.0318, "unit": "s"},
+            "queries_per_s": {"value": 1261.9, "unit": "1/s"},
+            "wrong_verdicts": {"value": 0.0, "unit": "count"},
+        },
+        "emptiness": {
+            "queries_per_s": {"value": 2786.69, "unit": "1/s"},
+            "peak_rss_mb": {"value": 19.2461, "unit": "MB"},
+        },
+    }
+
+
+def test_diff_gives_ratios_new_over_old():
+    old = {"metrics": bench_record.parse_metrics(OUTPUT)}
+    new = {"metrics": bench_record.parse_metrics(
+        OUTPUT.replace("1261.9 1/s", "2523.8 1/s").replace("peak_rss_mb = 19.2461", "cli_p50_ms = 90")
+    )}
+    assert bench_record.diff_lines(old, new) == [
+        "emptiness cli_p50_ms = 90 MB  new",
+        "emptiness peak_rss_mb: only in the old record",
+        "emptiness queries_per_s = 2786.69 1/s  x1.000",
+        "mixed_queries queries_per_s = 2523.8 1/s  x2.000",
+        "mixed_queries setup_s = 0.0318 s  x1.000",
+        "mixed_queries wrong_verdicts = 0 count  =",
+    ]
+
+
+def test_compares_with_the_newest_earlier_record(tmp_path):
+    assert bench_record.previous_record(tmp_path, 18) is None
+    for n in (2, 9, 17, 19):
+        (tmp_path / f"BENCH_{n}.json").write_text(json.dumps({"metrics": {}}))
+    (tmp_path / "BENCH_x.json").write_text("{}")
+    assert bench_record.previous_record(tmp_path, 18).name == "BENCH_17.json"
+    assert bench_record.previous_record(tmp_path, 10).name == "BENCH_9.json"
+    assert bench_record.previous_record(tmp_path, 2) is None
+
+
+def test_writes_the_record_and_prints_the_diff(tmp_path, capsys):
+    # a checkout whose benchmark prints the canned output; it is no git tree
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(f"print({OUTPUT!r}, end='')\n")
+    old = {"metrics": {"emptiness": {"queries_per_s": {"value": 1393.345, "unit": "1/s"}}}}
+    (tmp_path / "BENCH_3.json").write_text(json.dumps(old))
+    argv = ["4", "--seed", "7", "--seconds", "2", "--checkout", str(tmp_path), "--dir", str(tmp_path)]
+    assert bench_record.main(argv) == 0
+    record = json.loads((tmp_path / "BENCH_4.json").read_text())
+    assert record == {
+        "seed": 7,
+        "seconds": 2.0,
+        "commit": "unknown",
+        "metrics": bench_record.parse_metrics(OUTPUT),
+    }
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "against BENCH_3.json:"
+    assert "emptiness queries_per_s = 2786.69 1/s  x2.000" in out

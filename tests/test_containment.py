@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from symre import containment, syntax
 from symre.alphabet import BitsetAlgebra, FiniteCofiniteAlgebra, IntervalAlgebra
+from symre.cli import make_algebra
 from symre.containment import (
     Checker,
     FuelExhausted,
@@ -535,6 +536,26 @@ def test_emptiness_decider_referees_infinite_alphabets(alg):
             assert membership(b, word, r) and not membership(b, word, s)
             assert len(word) <= len(verdict.witness)
     assert refuted == 1244
+
+
+def test_twin_alphabets_agree():
+    # One text over three alphabets, where the ``z`` of ``bitset:abz`` stands
+    # for every symbol but a and b.  ``unicode`` and ``cofinite`` are one
+    # alphabet in two representations, so they give the same answer, witness
+    # included; the bitset alphabet gives the same verdict.  The slice oracle
+    # cannot referee the two infinite ones, and each builder stays warm.
+    rng = random.Random(18)
+    ab = BitsetAlgebra("ab")
+    specs = ("unicode", "cofinite", "bitset:abz")
+    checkers = [Checker(ExprBuilder(make_algebra(spec))) for spec in specs]
+    refuted = 0
+    for _ in range(1000):
+        r, s = (raw_text(random_raw(rng, ab, 10, C3_WEIGHTS)) for _ in "rs")
+        uni, cof, bits = (c.check(c.builder.parse(r), c.builder.parse(s)) for c in checkers)
+        assert (cof.holds, cof.witness) == (uni.holds, uni.witness)
+        assert bits.holds == uni.holds
+        refuted += not uni.holds
+    assert refuted == 655  # of the 1000 pairs
 
 
 # -- other algebras ------------------------------------------------------------------

@@ -1,0 +1,120 @@
+"""Record a benchmark run as ``BENCH_<n>.json`` and compare it with the last one.
+
+Usage: python tools/bench_record.py N [--seed S] [--seconds T] [--checkout DIR] [--dir DIR]
+
+Runs ``python3 bench/run.py --workload all --seed S --seconds T`` in the
+checkout ``DIR`` (default: this repository) and parses every
+``<workload> <name> = <value> <unit>`` line it prints.  Writes
+``BENCH_<N>.json`` into ``--dir`` (default: the repository root) with the
+seed, the seconds, the checkout's commit (``+dirty`` when tracked files
+differ from it) and every metric, then prints each metric's ratio, new over
+old, against the newest ``BENCH_<m>.json`` with ``m < N`` in the same
+directory.  A metric that only one of the two files has is listed without a
+ratio.  Exits with the status of the benchmark run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_LINE = re.compile(r"^(\S+) (\S+) = (\S+) (\S+)$")
+_NAME = re.compile(r"^BENCH_(\d+)\.json$")
+
+
+def parse_metrics(output: str) -> dict[str, dict[str, dict]]:
+    """``{workload: {metric: {"value", "unit"}}}`` from the run's output lines."""
+    metrics: dict[str, dict[str, dict]] = {}
+    for line in output.splitlines():
+        m = _LINE.match(line.strip())
+        if m:
+            workload, name, value, unit = m.groups()
+            metrics.setdefault(workload, {})[name] = {"value": float(value), "unit": unit}
+    return metrics
+
+
+def previous_record(directory: Path, number: int) -> Path | None:
+    """The ``BENCH_<m>.json`` in ``directory`` with the largest ``m < number``."""
+    found = [
+        (int(m.group(1)), p)
+        for p in directory.iterdir()
+        if (m := _NAME.match(p.name)) and int(m.group(1)) < number
+    ]
+    return max(found)[1] if found else None
+
+
+def diff_lines(old: dict, new: dict) -> list[str]:
+    """One line per metric of either record: the new value and its ratio to the old."""
+    lines = []
+    old_m, new_m = old["metrics"], new["metrics"]
+    for workload in sorted(set(old_m) | set(new_m)):
+        before, after = old_m.get(workload, {}), new_m.get(workload, {})
+        for name in sorted(set(before) | set(after)):
+            if name not in after:
+                lines.append(f"{workload} {name}: only in the old record")
+                continue
+            value, unit = after[name]["value"], after[name]["unit"]
+            base = before.get(name, {}).get("value")
+            if base is None:
+                ratio = "new"
+            elif base == 0:
+                ratio = "=" if value == 0 else "old 0"
+            else:
+                ratio = f"x{value / base:.3f}"
+            lines.append(f"{workload} {name} = {value:.6g} {unit}  {ratio}")
+    return lines
+
+
+def commit_of(checkout: Path) -> str:
+    """The checkout's HEAD commit, with ``+dirty`` when tracked files differ from it."""
+    git = ["git", "-C", str(checkout)]
+    head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True)
+    if head.returncode != 0:
+        return "unknown"
+    status = subprocess.run(
+        git + ["status", "--porcelain", "--untracked-files=no"], capture_output=True, text=True
+    )
+    return head.stdout.strip() + ("+dirty" if status.stdout.strip() else "")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("number", type=int)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--checkout", type=Path, default=ROOT)
+    parser.add_argument("--dir", type=Path, default=ROOT)
+    args = parser.parse_args(argv)
+
+    cmd = ["python3", "bench/run.py", "--workload", "all", "--seed", str(args.seed),
+           "--seconds", str(args.seconds)]
+    proc = subprocess.run(cmd, cwd=args.checkout, capture_output=True, text=True)
+    sys.stderr.write(proc.stderr)
+    record = {
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "commit": commit_of(args.checkout),
+        "metrics": parse_metrics(proc.stdout),
+    }
+    out = args.dir / f"BENCH_{args.number}.json"
+    out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {out}")
+    previous = previous_record(args.dir, args.number)
+    if previous is None:
+        print("no earlier record to compare with")
+    else:
+        print(f"against {previous.name}:")
+        old = json.loads(previous.read_text(encoding="utf-8"))
+        for line in diff_lines(old, record):
+            print(line)
+    return proc.returncode
+
+
+if __name__ == "__main__":
+    sys.exit(main())
