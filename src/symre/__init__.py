@@ -13,6 +13,9 @@ Typical use::
     checker = Checker(builder)
     verdict = checker.check(builder.parse("(a|b)|c"), builder.parse("a|b"))
     assert not verdict.holds and verdict.witness == "c"
+
+The slice oracle (``SliceOracle``, ``slice_*``) and the regex-valued
+algebra (``RegexAlgebra``, ``RegexSet``) load on first use.
 """
 
 from .alphabet import (
@@ -34,8 +37,6 @@ from .containment import (
 )
 from .derivative import deriv_literal, deriv_symbol, deriv_word, neg_deriv, pos_deriv
 from .nextlit import join, left_join, meet, next_literals, next_of_ineq
-from .oracle import SliceOracle, slice_equal, slice_subset, slice_words
-from .regexalg import RegexAlgebra, RegexSet
 from .syntax import Ere, ExprBuilder, ParseError, size, to_text, width
 
 __all__ = [
@@ -77,3 +78,26 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# Names resolved on first use (PEP 562), each with the submodule defining it.
+_LAZY = {
+    "RegexAlgebra": "regexalg",
+    "RegexSet": "regexalg",
+    "SliceOracle": "oracle",
+    "slice_equal": "oracle",
+    "slice_subset": "oracle",
+    "slice_words": "oracle",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -15,14 +15,19 @@ A fourth, regex-valued algebra (symbols are words over an inner alphabet)
 lives in :mod:`symre.regexalg` because it builds on the containment engine.
 
 All set values are immutable and canonical: two sets with the same
-denotation built by the same algebra compare (and hash) equal.
+denotation built by the same algebra compare (and hash) equal.  Each is a
+named tuple whose field 0 is its algebra, so equality and hashing are
+tuple's own: a set equals a plain tuple with the same fields, and sets of
+two algebra instances never compare equal.  No memo key of the same shape
+can collide with a set: the operation keys of
+``FiniteCofiniteAlgebra._memo`` start with a ``str``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 
 MAX_CODEPOINT = 0x10FFFF
 
@@ -207,10 +212,8 @@ class _CodepointAlgebra(Algebra):
 # Bit vectors over a small explicit alphabet
 
 
-@dataclass(frozen=True)
-class BitSet(SymbolSet):
-    algebra: "BitsetAlgebra"
-    mask: int
+class BitSet(namedtuple("BitSet", "algebra mask"), SymbolSet):
+    __slots__ = ()
 
 
 class BitsetAlgebra(Algebra):
@@ -289,10 +292,9 @@ class BitsetAlgebra(Algebra):
 # Sorted disjoint codepoint intervals
 
 
-@dataclass(frozen=True)
-class IntervalSet(SymbolSet):
-    algebra: "IntervalAlgebra"
-    intervals: tuple[tuple[int, int], ...]  # inclusive, sorted, non-adjacent
+# ``intervals``: inclusive codepoint ranges, sorted and non-adjacent.
+class IntervalSet(namedtuple("IntervalSet", "algebra intervals"), SymbolSet):
+    __slots__ = ()
 
 
 class IntervalAlgebra(_CodepointAlgebra):
@@ -356,11 +358,9 @@ class IntervalAlgebra(_CodepointAlgebra):
 # Finite / cofinite sets
 
 
-@dataclass(frozen=True)
-class FcSet(SymbolSet):
-    algebra: "FiniteCofiniteAlgebra"
-    cofinite: bool
-    members: frozenset[str]  # the excluded symbols when cofinite
+# ``members``: the symbols of a finite set, the excluded ones of a cofinite set.
+class FcSet(namedtuple("FcSet", "algebra cofinite members"), SymbolSet):
+    __slots__ = ()
 
 
 class FiniteCofiniteAlgebra(_CodepointAlgebra):

@@ -16,9 +16,8 @@ internal), 3 oracle disagreement under ``--oracle-check``.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .alphabet import (
     Algebra,
@@ -30,7 +29,6 @@ from .alphabet import (
 from .containment import DEFAULT_FUEL, Checker, FuelExhausted, membership
 from .derivative import deriv_literal
 from .nextlit import next_literals
-from .oracle import SliceOracle
 from .syntax import (
     ExprBuilder,
     ParseError,
@@ -124,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
@@ -189,13 +187,16 @@ def _run(args: argparse.Namespace) -> int:
     else:
         verdict = checker.check(lhs, rhs)
 
-    if args.trace_json is not None:
-        with open(args.trace_json, "w", encoding="utf-8") as fh:
+    if wants_trace:
+        import json
+
+        if args.trace_json is not None:
+            with open(args.trace_json, "w", encoding="utf-8") as fh:
+                for event in events:
+                    fh.write(json.dumps(event) + "\n")
+        if args.command == "trace":
             for event in events:
-                fh.write(json.dumps(event) + "\n")
-    if args.command == "trace":
-        for event in events:
-            print(json.dumps(event))
+                print(json.dumps(event))
 
     line = "HOLDS" if verdict.holds else f"FAILS witness={algebra.format_word(verdict.witness)}"
     print(line, file=sys.stderr if args.command == "trace" else sys.stdout)
@@ -206,14 +207,17 @@ def _run(args: argparse.Namespace) -> int:
     return EX_HOLDS if verdict.holds else EX_FAILS
 
 
-def _make_oracle(builder: ExprBuilder) -> SliceOracle:
+def _make_oracle(builder: ExprBuilder):
+    """The slice oracle over ``builder``; the oracle module loads only here."""
+    from .oracle import SliceOracle
+
     try:
         return SliceOracle(builder, ORACLE_LEN)
     except ValueError as exc:
         raise AlgebraError(f"--oracle-check: {exc}") from exc
 
 
-def _oracle_confirms(oracle: SliceOracle, command: str, lhs, rhs, answer) -> bool:
+def _oracle_confirms(oracle, command: str, lhs, rhs, answer) -> bool:
     """Whether the slice oracle confirms an answer.  For ``match``, ``lhs``
     is the word, ``rhs`` the expression and ``answer`` whether they matched;
     otherwise ``answer`` is the verdict on ``lhs`` and ``rhs``.  A word

@@ -26,9 +26,8 @@ member of the left language and never of the right one.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union as TypingUnion
+from collections import deque, namedtuple
+from collections.abc import Callable, Iterable, Sequence
 
 from .derivative import deriv_symbol, deriv_word, partial_derivatives
 from .nextlit import next_literals, pair_classes
@@ -36,7 +35,7 @@ from .syntax import And, Epsilon, Ere, ExprBuilder, to_text
 
 DEFAULT_FUEL = 1 << 20
 
-Word = TypingUnion[str, tuple]
+Word = str | tuple
 TraceSink = Callable[[dict], None]
 
 # Each rule of a trace, and the verdict it closes its pair with; ``unfold``
@@ -55,17 +54,12 @@ TRACE_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class CheckStats:
-    visited: int
-    max_depth: int
-
-
-@dataclass(frozen=True)
-class Verdict:
-    holds: bool
-    witness: Optional[Word]
-    stats: CheckStats
+# Pairs visited and the deepest unfolding, of one check or of both
+# directions of an equivalence.
+CheckStats = namedtuple("CheckStats", "visited max_depth")
+# Whether the containment (or equivalence) holds; the ``Word`` that refutes
+# it, or ``None`` when it holds; and the ``CheckStats``.
+Verdict = namedtuple("Verdict", "holds witness stats")
 
 
 class FuelExhausted(RuntimeError):
@@ -87,7 +81,7 @@ def membership(b: ExprBuilder, word: Iterable, r: Ere) -> bool:
     return deriv_word(b, word, r).nullable
 
 
-def shortest_word(b: ExprBuilder, r: Ere, fuel: int = DEFAULT_FUEL) -> Optional[tuple]:
+def shortest_word(b: ExprBuilder, r: Ere, fuel: int = DEFAULT_FUEL) -> tuple | None:
     """Shortest (then least) member of the language as a symbol tuple.
 
     Returns ``None`` when the language is empty.  Breadth-first search over
@@ -165,7 +159,7 @@ class Checker:
         use_axioms: bool = True,
         global_memo: bool = True,
         fuel: int = DEFAULT_FUEL,
-        trace: Optional[TraceSink] = None,
+        trace: TraceSink | None = None,
     ):
         self.builder = builder
         self.use_axioms = use_axioms
@@ -197,7 +191,7 @@ class Checker:
                     }
                 )
 
-        def visit(lhs: Ere, rhs: Ere, depth: int) -> Optional[tuple]:
+        def visit(lhs: Ere, rhs: Ere, depth: int) -> tuple | None:
             """Answer the pair or push its frame.
 
             Disprove, the axioms and cycle detection answer a pair; otherwise

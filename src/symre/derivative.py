@@ -29,8 +29,8 @@ length, where a search over symbol derivatives meets about 2^n nodes.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import product
-from typing import Iterable
 
 from .alphabet import AlgebraError, SymbolSet
 from .nextlit import _combine, minterms, next_literals

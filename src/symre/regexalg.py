@@ -12,18 +12,17 @@ Outer words over this algebra are tuples of inner words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .alphabet import Algebra, AlgebraError, BitsetAlgebra, SymbolSet, escape_char
 from .containment import FuelExhausted, membership, shortest_word
 from .syntax import Ere, ExprBuilder, to_text
 
 
-@dataclass(frozen=True)
-class RegexSet(SymbolSet):
-    algebra: "RegexAlgebra"
-    expr: Ere  # interned in the algebra's inner builder; equality is identity
+# ``expr`` is interned in the algebra's inner builder; its equality is identity.
+class RegexSet(namedtuple("RegexSet", "algebra expr"), SymbolSet):
+    __slots__ = ()
 
 
 class RegexAlgebra(Algebra):
@@ -61,7 +60,7 @@ class RegexAlgebra(Algebra):
         self._own(a)
         return RegexSet(self, self.inner.not_(a.expr))
 
-    def _shortest(self, a: RegexSet) -> Optional[tuple]:
+    def _shortest(self, a: RegexSet) -> tuple | None:
         """The shortest inner word of ``a`` as a symbol tuple, or ``None``."""
         self._own(a)
         # A failed inner search is a fault of this algebra, not an answer.

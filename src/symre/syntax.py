@@ -20,7 +20,7 @@ the universal language as ``.*``.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .alphabet import Algebra, AlgebraError, SymbolSet
 
@@ -119,7 +119,7 @@ class ExprBuilder:
         self.next_cache: dict[int, tuple[SymbolSet, ...]] = {}
         self.lead_cache: dict[int, tuple[tuple[SymbolSet, ...], SymbolSet]] = {}
         self.partition_cache: dict[tuple, object] = {}
-        self.word_cache: dict[int, Optional[tuple]] = {}
+        self.word_cache: dict[int, tuple | None] = {}
         self._bottom = self.literal(algebra.bottom())
 
     def _intern(self, key: tuple, ctor: Callable, *args, nullable: bool) -> Ere:
@@ -153,8 +153,8 @@ class ExprBuilder:
         # One pass flattens, merges the literals and collects the members.
         # The bottom ``[]`` is dropped, and a lone literal is kept as it is.
         bottom = self._bottom
-        lit: Optional[Ere] = None  # the literal member, once it is interned
-        litset: Optional[SymbolSet] = None  # the merged literal's symbols
+        lit: Ere | None = None  # the literal member, once it is interned
+        litset: SymbolSet | None = None  # the merged literal's symbols
         members: dict[int, Ere] = {}
         for p in parts:
             for m in p.members if type(p) is Union else (p,):
@@ -314,7 +314,7 @@ def _char_set(algebra: Algebra, c: str) -> SymbolSet:
 
 
 class _Scanner:
-    def __init__(self, text: str, algebra: Algebra, builder: Optional[ExprBuilder] = None):
+    def __init__(self, text: str, algebra: Algebra, builder: ExprBuilder | None = None):
         self.text = text
         self.pos = 0
         self.algebra = algebra
@@ -531,7 +531,7 @@ def _class(sc: _Scanner) -> SymbolSet:
 _LEVEL_ALT, _LEVEL_AND, _LEVEL_CAT, _LEVEL_NEG, _LEVEL_POST, _LEVEL_ATOM = 0, 1, 2, 3, 4, 5
 
 
-def to_text(r: Ere, texts: Optional[dict] = None) -> str:
+def to_text(r: Ere, texts: dict | None = None) -> str:
     """Render a normalized tree in the concrete syntax (parse round-trips).
 
     ``texts`` maps each node rendered so far to its text without enclosing

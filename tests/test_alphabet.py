@@ -198,6 +198,34 @@ def test_mixing_algebras_rejected():
         fc.pick_witness(theirs)
 
 
+@pytest.mark.parametrize("make, sample", [
+    (lambda: BitsetAlgebra("ab"), lambda alg: alg.from_chars("a")),
+    (IntervalAlgebra, lambda alg: alg.class_set([(ord("a"), ord("c"))], False)),
+    (FiniteCofiniteAlgebra, lambda alg: alg.finite("ab")),
+    (FiniteCofiniteAlgebra, lambda alg: alg.cofinite("ab")),
+])
+def test_sets_are_immutable_values_of_one_algebra(make, sample):
+    alg, other = make(), make()
+    s = sample(alg)
+    for field in s._fields:
+        with pytest.raises(AttributeError):
+            setattr(s, field, getattr(s, field))
+    with pytest.raises(AttributeError):
+        s.extra = 1
+    # an equal set computed another way hashes equal
+    twin = alg.union(alg.bottom(), alg.complement(alg.complement(s)))
+    assert twin == s and hash(twin) == hash(s)
+    # the same fields over another algebra instance make an unequal set,
+    # which the algebra still rejects
+    foreign = type(s)(other, *s[1:])
+    assert foreign != s and foreign == sample(other)
+    with pytest.raises(AlgebraError):
+        alg.union(s, foreign)
+    with pytest.raises(AlgebraError):
+        alg.is_equal(foreign, s)
+    assert str(s) == alg.format_set(s)
+
+
 def test_constructors_reject_bad_input():
     with pytest.raises(AlgebraError, match="^bitset alphabet must not be empty$"):
         BitsetAlgebra("")

@@ -60,7 +60,23 @@ def test_compares_with_the_newest_earlier_record(tmp_path):
     assert bench_record.previous_record(tmp_path, 2) is None
 
 
-def test_writes_the_record_and_prints_the_diff(tmp_path, capsys):
+def test_warns_when_records_differ_in_the_bytecode_setting():
+    set_, unset, unknown = ({"dont_write_bytecode": v} for v in (True, False, None))
+    assert bench_record.bytecode_warning(set_, {"dont_write_bytecode": True}) is None
+    assert bench_record.bytecode_warning(unset, unset) is None
+    assert bench_record.bytecode_warning(set_, unset) == (
+        "warning: PYTHONDONTWRITEBYTECODE was set in the old record and unset in the "
+        "new one; setup_s and cli_p50_ms do not compare"
+    )
+    # a record written before the setting was recorded does not say
+    assert "was not recorded in the old record and set" in bench_record.bytecode_warning(
+        {}, set_
+    )
+    assert bench_record.bytecode_warning({}, unknown) is None
+
+
+def test_writes_the_record_and_prints_the_diff(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     # a checkout whose benchmark prints the canned output; it is no git tree
     (tmp_path / "bench").mkdir()
     (tmp_path / "bench" / "run.py").write_text(f"print({OUTPUT!r}, end='')\n")
@@ -73,8 +89,10 @@ def test_writes_the_record_and_prints_the_diff(tmp_path, capsys):
         "seed": 7,
         "seconds": 2.0,
         "commit": "unknown",
+        "dont_write_bytecode": True,
         "metrics": bench_record.parse_metrics(OUTPUT),
     }
     out = capsys.readouterr().out.splitlines()
     assert out[1] == "against BENCH_3.json:"
+    assert out[2].startswith("warning: PYTHONDONTWRITEBYTECODE was not recorded")
     assert "emptiness queries_per_s = 2786.69 1/s  x2.000" in out

@@ -9,6 +9,7 @@ from symre.alphabet import BitsetAlgebra, FiniteCofiniteAlgebra, IntervalAlgebra
 from symre.cli import make_algebra
 from symre.containment import (
     Checker,
+    CheckStats,
     FuelExhausted,
     membership,
     replay_trace,
@@ -56,6 +57,15 @@ def test_trace_of_counterexample(b):
 
 
 # -- axioms -------------------------------------------------------------------------
+
+
+def test_verdicts_read_by_field_name_and_by_position(b, chk):
+    verdict = chk.check(b.parse("a|b"), b.parse("a"))
+    holds, witness, stats = verdict
+    assert (holds, witness, stats) == (verdict.holds, verdict.witness, verdict.stats)
+    assert (holds, witness) == (False, "b")
+    assert stats == CheckStats(stats.visited, stats.max_depth) == (stats[0], stats[1])
+    assert stats.visited >= 1
 
 
 def test_prove_identity(b, chk):

@@ -138,6 +138,22 @@ def test_witness_paths_are_word_tuples(alg):
     assert alg.format_word(verdict.witness) == "ab/b"
 
 
+def test_sets_are_immutable_values_of_one_algebra(alg):
+    s = alg.set_of("a(a|b)*")
+    for field in ("algebra", "expr"):
+        with pytest.raises(AttributeError):
+            setattr(s, field, getattr(s, field))
+    twin = alg.set_of("a(b|a)*")  # the same interned inner expression
+    assert twin == s and hash(twin) == hash(s)
+    # the same expression under another algebra instance is another set,
+    # and the algebra rejects it
+    foreign = RegexSet(RegexAlgebra("ab"), s.expr)
+    assert foreign != s
+    with pytest.raises(AlgebraError):
+        alg.union(s, foreign)
+    assert str(s) == alg.format_set(s) == "{a.*}"
+
+
 def test_format_set(alg):
     # (a|b) merges to the full inner class, which renders as '.'
     assert alg.format_set(alg.set_of("a(a|b)*")) == "{a.*}"

@@ -7,16 +7,20 @@ checkout ``DIR`` (default: this repository) and parses every
 ``<workload> <name> = <value> <unit>`` line it prints.  Writes
 ``BENCH_<N>.json`` into ``--dir`` (default: the repository root) with the
 seed, the seconds, the checkout's commit (``+dirty`` when tracked files
-differ from it) and every metric, then prints each metric's ratio, new over
-old, against the newest ``BENCH_<m>.json`` with ``m < N`` in the same
-directory.  A metric that only one of the two files has is listed without a
-ratio.  Exits with the status of the benchmark run.
+differ from it), whether ``PYTHONDONTWRITEBYTECODE`` was set and every
+metric, then prints each metric's ratio, new over old, against the newest
+``BENCH_<m>.json`` with ``m < N`` in the same directory.  A metric that only
+one of the two files has is listed without a ratio.  With the variable set,
+every fresh process compiles ``src/symre`` from source, so ``setup_s`` and
+``cli_p50_ms`` of two records compare only if both agree on it; a warning
+says when they do not.  Exits with the status of the benchmark run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -71,6 +75,18 @@ def diff_lines(old: dict, new: dict) -> list[str]:
     return lines
 
 
+def bytecode_warning(old: dict, new: dict) -> str | None:
+    """A warning when the two records differ in ``dont_write_bytecode``."""
+    said = {True: "set", False: "unset", None: "not recorded"}
+    before, after = old.get("dont_write_bytecode"), new.get("dont_write_bytecode")
+    if before == after:
+        return None
+    return (
+        f"warning: PYTHONDONTWRITEBYTECODE was {said[before]} in the old record and "
+        f"{said[after]} in the new one; setup_s and cli_p50_ms do not compare"
+    )
+
+
 def commit_of(checkout: Path) -> str:
     """The checkout's HEAD commit, with ``+dirty`` when tracked files differ from it."""
     git = ["git", "-C", str(checkout)]
@@ -100,6 +116,7 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "seconds": args.seconds,
         "commit": commit_of(args.checkout),
+        "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         "metrics": parse_metrics(proc.stdout),
     }
     out = args.dir / f"BENCH_{args.number}.json"
@@ -111,6 +128,9 @@ def main(argv=None) -> int:
     else:
         print(f"against {previous.name}:")
         old = json.loads(previous.read_text(encoding="utf-8"))
+        warning = bytecode_warning(old, record)
+        if warning:
+            print(warning)
         for line in diff_lines(old, record):
             print(line)
     return proc.returncode
