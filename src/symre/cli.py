@@ -10,7 +10,7 @@ Subcommands::
     trace  LHS RHS    like check, but stream the rule trace as JSON lines
 
 Exit codes: 0 holds/match, 1 fails/no match, 2 errors (parse, usage, fuel,
-internal), 3 oracle disagreement under ``--oracle-check``.
+I/O, internal), 3 oracle disagreement under ``--oracle-check``.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (FuelExhausted, ParseError, AlgebraError, ValueError) as exc:
+    except (FuelExhausted, ParseError, AlgebraError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_ERROR
     except Exception as exc:  # a crash must never read as a verdict

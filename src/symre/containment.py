@@ -5,10 +5,10 @@ the empty word while the right side does not is a refutation; a revisited
 pair closes a cycle and counts as proven; otherwise the pair is split along
 the next literals of the inequality and both sides are differentiated by
 each literal.  The classes come from ``nextlit.pair_classes``, memoized per
-partition pair with each class's witness symbol; each lies by construction
-inside one next literal of each side or outside the right side's
-coverage.  So a branch costs two symbol derivatives by the witness, or one
-outside the right side's coverage, where that side's derivative is ``[]``.
+partition pair with each class's witness symbol; all the symbols of a class
+have the same derivative on each side, so a branch costs two symbol
+derivatives by the witness.  A pair without classes is unfolded into no
+branches.
 Termination follows from the finiteness of dissimilar iterated derivatives.
 Fast-path axioms close a pair before it is unfolded: identity, an empty
 left side, an epsilon left side against a nullable right side, the
@@ -35,7 +35,6 @@ from .syntax import And, Epsilon, Ere, ExprBuilder, to_text
 
 DEFAULT_FUEL = 1 << 20
 
-Word = str | tuple
 TraceSink = Callable[[dict], None]
 
 # Each rule of a trace, and the verdict it closes its pair with; ``unfold``
@@ -57,8 +56,9 @@ TRACE_RULES = {
 # Pairs visited and the deepest unfolding, of one check or of both
 # directions of an equivalence.
 CheckStats = namedtuple("CheckStats", "visited max_depth")
-# Whether the containment (or equivalence) holds; the ``Word`` that refutes
-# it, or ``None`` when it holds; and the ``CheckStats``.
+# Whether the containment (or equivalence) holds; the word that refutes it
+# (the algebra's ``word_of``: a ``str``, or a tuple of symbols), or ``None``
+# when it holds; and the ``CheckStats``.
 Verdict = namedtuple("Verdict", "holds witness stats")
 
 
@@ -237,29 +237,22 @@ class Checker:
             branches = pair_classes(b, lhs, rhs)
             if not branches:
                 emit("unfold", lhs, rhs, None, depth)
-                if self.global_memo:
-                    assumed.add(pair)
-                return None
             assumed.add(pair)
             frames.append([lhs, rhs, branches, 0])
             return None
 
         tail = visit(r, s, 0)
         while frames and tail is None:
-            frame = frames[-1]
-            lhs, rhs, todo, idx = frame
-            depth = len(frames) - 1
+            lhs, rhs, todo, idx = frame = frames[-1]
             if idx == len(todo):
                 frames.pop()
                 if not self.global_memo:
                     assumed.discard((lhs.eid, rhs.eid))
                 continue
             frame[3] += 1
-            a_set, a, _, j = todo[idx]
-            emit("unfold", lhs, rhs, a_set, depth)
-            dl = deriv_symbol(b, a, lhs)
-            dr = deriv_symbol(b, a, rhs) if j >= 0 else bottom
-            tail = visit(dl, dr, depth + 1)
+            a_set, a = todo[idx]
+            emit("unfold", lhs, rhs, a_set, len(frames) - 1)
+            tail = visit(deriv_symbol(b, a, lhs), deriv_symbol(b, a, rhs), len(frames))
 
         stats = CheckStats(visited, max_depth)
         if tail is None:
@@ -295,45 +288,53 @@ def replay_trace(events: Sequence[dict]) -> bool:
 
     An ``unfold`` event with a literal is followed by the sub-trace of that
     branch one level deeper; a null literal marks an unfolding with no
-    branches.  The trace of a query must replay to the query's verdict.
-    One loop keeps a stack of the open unfoldings, so a deep trace costs
-    no recursion.
+    branches.  The trace of a query must replay to the query's verdict.  An
+    equivalence that holds one way writes a second root trace, the converse
+    containment, and replays to the verdict of that last root.  One loop
+    keeps a stack of the open unfoldings, so a deep trace costs no
+    recursion.
     """
     if not events:
         raise ValueError("empty trace")
     pairs: list[tuple] = []  # the pair of each open unfolding, outermost first
-    i = 0
-    while True:
-        # Replay the event at ``i``, one level below the open unfoldings.
-        if i == len(events):
-            raise ValueError("trace ends inside an unfolding")
-        event = events[i]
-        if event["depth"] != len(pairs):
-            raise ValueError(f"trace event at index {i} has unexpected depth")
-        verdict = TRACE_RULES[event["rule"]]
-        if verdict is None:
-            pairs.append((event["lhs"], event["rhs"]))
-            verdict = True
-        else:
-            i += 1
-        # Step the innermost unfolding through its events until one opens a
-        # branch; a false verdict closes every open unfolding.
-        while pairs:
-            if (
-                verdict
-                and i < len(events)
-                and events[i]["depth"] == len(pairs) - 1
-                and events[i]["rule"] == "unfold"
-                and (events[i]["lhs"], events[i]["rhs"]) == pairs[-1]
-            ):
-                literal = events[i]["literal"]
-                i += 1
-                if literal is not None:
-                    break
+    i = roots = 0
+    try:  # ``i`` indexes the event being read whenever a field is missing
+        while True:
+            # Replay the event at ``i``, one level below the open unfoldings.
+            if i == len(events):
+                raise ValueError("trace ends inside an unfolding")
+            event = events[i]
+            if event["depth"] != len(pairs):
+                raise ValueError(f"trace event at index {i} has unexpected depth")
+            verdict = TRACE_RULES[event["rule"]]
+            if verdict is None:
+                pairs.append((event["lhs"], event["rhs"]))
+                verdict = True
             else:
-                pairs.pop()
-        else:
-            break
+                i += 1
+            # Step the innermost unfolding through its events until one opens
+            # a branch; a false verdict closes every open unfolding.
+            while pairs:
+                if (
+                    verdict
+                    and i < len(events)
+                    and events[i]["depth"] == len(pairs) - 1
+                    and events[i]["rule"] == "unfold"
+                    and (events[i]["lhs"], events[i]["rhs"]) == pairs[-1]
+                ):
+                    literal = events[i]["literal"]
+                    i += 1
+                    if literal is not None:
+                        break
+                else:
+                    pairs.pop()
+            else:
+                # A root closed: a second one may follow a first that holds.
+                roots += 1
+                if not verdict or roots == 2 or i == len(events):
+                    break
+    except (KeyError, TypeError):
+        raise ValueError(f"trace event at index {i} is malformed") from None
     if i != len(events):
         raise ValueError(f"trailing trace events at index {i}")
     return verdict

@@ -42,15 +42,12 @@ from .alphabet import Algebra, SymbolSet
 from .syntax import And, Concat, Epsilon, Ere, ExprBuilder, Literal, Not, Star, Union
 
 Partition = tuple[SymbolSet, ...]
-_Piece = tuple[SymbolSet, int, int]
 
 
 def canonical_partition(alg: Algebra, sets: Iterable[SymbolSet]) -> Partition:
     """Drop empty members, deduplicate, and order by least symbol."""
     unique = {s: None for s in sets if not alg.is_empty(s)}
-    return tuple(
-        sorted(unique, key=lambda s: alg.symbol_key(alg.pick_witness(s)))
-    )
+    return tuple(sorted(unique, key=lambda s: alg.symbol_key(alg.pick_witness(s))))
 
 
 def partition_union(alg: Algebra, parts: Partition) -> SymbolSet:
@@ -63,7 +60,7 @@ def partition_union(alg: Algebra, parts: Partition) -> SymbolSet:
 def join(alg: Algebra, left: Partition, right: Partition) -> Partition:
     """Common refinement covering the union of both sides."""
     outside_left = alg.complement(partition_union(alg, left))
-    pieces = [p for p, _, _ in _left_pieces(alg, left, right)]
+    pieces = _left_pieces(alg, left, right)
     pieces.extend(alg.intersect(outside_left, b) for b in right)
     return canonical_partition(alg, pieces)
 
@@ -71,23 +68,21 @@ def join(alg: Algebra, left: Partition, right: Partition) -> Partition:
 def left_join(alg: Algebra, left: Partition, right: Partition) -> Partition:
     """Refinement covering exactly the union of the left side: the classes
     of ``witnessed_left_join``."""
-    return tuple(c for c, _, _, _ in witnessed_left_join(alg, left, right))
+    return tuple(c for c, _ in witnessed_left_join(alg, left, right))
 
 
-def _left_pieces(alg: Algebra, left: Partition, right: Partition) -> list[_Piece]:
-    """Each ``left[i]`` cut by right's members and by right's coverage, as
-    ``(left[i] & right[j], i, j)`` and ``(left[i] outside right, i, -1)``."""
+def _left_pieces(alg: Algebra, left: Partition, right: Partition) -> list[SymbolSet]:
+    """Each member of ``left`` cut by each member of ``right`` and by what
+    ``right`` leaves out."""
     outside_right = alg.complement(partition_union(alg, right))
-    pieces = [(alg.intersect(a, b), i, j) for i, a in enumerate(left) for j, b in enumerate(right)]
-    pieces.extend((alg.intersect(a, outside_right), i, -1) for i, a in enumerate(left))
+    pieces = [alg.intersect(a, b) for a in left for b in right]
+    pieces.extend(alg.intersect(a, outside_right) for a in left)
     return pieces
 
 
 def meet(alg: Algebra, left: Partition, right: Partition) -> Partition:
     """All pairwise intersections; covers symbols common to both sides."""
-    return canonical_partition(
-        alg, (alg.intersect(a, b) for a in left for b in right)
-    )
+    return canonical_partition(alg, (alg.intersect(a, b) for a in left for b in right))
 
 
 def minterms(alg: Algebra, coverage: SymbolSet, literals: tuple[SymbolSet, ...]) -> Partition:
@@ -181,41 +176,35 @@ def next_of_ineq(b: ExprBuilder, r: Ere, s: Ere) -> Partition:
     of ``pair_classes(b, r, s)``, which hold ``left_join`` of the two sides'
     partitions.
 
-    The classes split ``r``'s coverage by ``s``'s partition only.  A class
-    outside ``s``'s coverage may therefore straddle a leading literal of
-    ``s`` that an ``&`` in ``s`` leaves out of the coverage, so the set
-    derivatives of ``s`` by it may differ.  No set derivative is ever taken
-    on such a class: every symbol derivative of ``s`` there is ``[]``, and
-    the checker uses ``[]`` without deriving (see ``pair_classes``).
+    Each class lies inside one member of ``r``'s partition, and inside one
+    member of ``s``'s partition or outside ``s``'s coverage, so all its
+    symbols have one symbol derivative on each side; outside the coverage,
+    that of ``s`` is ``[]``.  Such a class may straddle a leading literal of
+    ``s`` that an ``&`` in ``s`` leaves out of the coverage, so a set
+    derivative of ``s`` by it may differ; the unfolding takes symbol
+    derivatives only.
     """
-    return tuple(c for c, _, _, _ in pair_classes(b, r, s))
+    return tuple(c for c, _ in pair_classes(b, r, s))
 
 
-Branch = tuple[SymbolSet, object, int, int]
+Branch = tuple[SymbolSet, object]
 
 
 def pair_classes(b: ExprBuilder, r: Ere, s: Ere) -> tuple[Branch, ...]:
     """The classes of the inequality ``r`` contained-in ``s``, in order,
-    with what the unfolding needs of each (see ``witnessed_left_join``)."""
+    each with its witness symbol (see ``witnessed_left_join``), so that a
+    branch of the unfolding derives both sides by that symbol."""
     return _combine(b, witnessed_left_join, next_literals(b, r), next_literals(b, s))
 
 
 def witnessed_left_join(alg: Algebra, left: Partition, right: Partition) -> tuple[Branch, ...]:
     """The non-empty pieces of ``left`` cut by ``right``, ordered by their
-    least symbols, each as ``(class, witness, i, j)``.
+    least symbols, each as ``(class, witness)``.
 
-    ``left[i]`` holds the class, and so does ``right[j]``, or ``j`` is -1
-    when the class misses ``right``'s coverage.  On next-literal partitions
-    a symbol derivative by the witness is thus the derivative by every
-    symbol of the class, on both sides, and outside the coverage it is
-    ``[]``.  That refinement holds by construction: each class is the piece
-    ``_left_pieces`` cut from ``left[i]`` and ``right[j]``, and the pieces
-    of two partitions are disjoint, so none repeats.
+    Each piece is cut from one member of ``left`` and from one member of
+    ``right`` or from what ``right`` leaves out, and the pieces of two
+    partitions are disjoint, so none repeats.  Each witness is picked once.
     """
-    classes = [
-        (c, alg.pick_witness(c), i, j)
-        for c, i, j in _left_pieces(alg, left, right)
-        if not alg.is_empty(c)
-    ]
+    classes = [(c, alg.pick_witness(c)) for c in _left_pieces(alg, left, right) if not alg.is_empty(c)]
     classes.sort(key=lambda branch: alg.symbol_key(branch[1]))
     return tuple(classes)

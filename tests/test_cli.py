@@ -156,6 +156,28 @@ def test_trace_json_file(capsys, tmp_path):
     assert replay_trace(events) is False
 
 
+@pytest.mark.parametrize(
+    "lhs,rhs,code",
+    # holds both ways; holds one way and fails the other; fails at once
+    [("a*", "(a)*", 0), ("a", "a*", 1), ("a*", "a", 1)],
+)
+def test_equiv_trace_replays_to_its_verdict(capsys, tmp_path, lhs, rhs, code):
+    # an equivalence that holds one way traces the converse containment too
+    path = tmp_path / "trace.jsonl"
+    argv = ["equiv", "--alphabet", "bitset:ab", "--trace-json", str(path), lhs, rhs]
+    assert run(capsys, *argv)[0] == code
+    events = [json.loads(line) for line in path.read_text().splitlines()]
+    assert replay_trace(events) is (code == 0)
+
+
+def test_trace_file_that_cannot_be_written_is_an_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "trace.jsonl"
+    code, out, err = run(capsys, "check", *ABC, "--trace-json", str(path), "a", "a")
+    assert code == 2
+    assert not out
+    assert err.startswith("error: ") and "internal error" not in err
+
+
 def test_trace_subcommand_streams_to_stdout(capsys):
     code, out, err = run(capsys, "trace", *ABC, "(a|b)|c", "a|b")
     assert code == 1

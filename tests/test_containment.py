@@ -210,14 +210,29 @@ def test_shortest_word_fuel_exhaustion_is_an_error(b):
     "events,message",
     [
         ([], "empty trace"),
+        # a second root may follow only a first that holds (an equivalence
+        # writes the converse containment then), and no third one
         (
-            [{"rule": "cycle", "depth": 0}, {"rule": "cycle", "depth": 0}],
+            [{"rule": "disprove", "depth": 0}, {"rule": "cycle", "depth": 0}],
             "trailing trace events at index 1",
         ),
         ([{"rule": "cycle", "depth": 1}], "trace event at index 0 has unexpected depth"),
         (
             [{"rule": "unfold", "lhs": "a", "rhs": "b", "literal": "a", "depth": 0}],
             "trace ends inside an unfolding",
+        ),
+        ([{"rule": "cycle", "depth": 0}] * 3, "trailing trace events at index 2"),
+        ([{"rule": "cycle", "depth": 0}, "cycle"], "trace event at index 1 is malformed"),
+        ([{"rule": "cycle"}], "trace event at index 0 is malformed"),
+        ([{"rule": "proven", "depth": 0}], "trace event at index 0 is malformed"),
+        ([{"rule": ["cycle"], "depth": 0}], "trace event at index 0 is malformed"),
+        (
+            [
+                {"rule": "unfold", "lhs": "a", "rhs": "b", "literal": "a", "depth": 0},
+                {"rule": "cycle", "depth": 1},
+                {"rule": "unfold", "lhs": "a", "rhs": "b", "depth": 0},
+            ],
+            "trace event at index 2 is malformed",
         ),
     ],
 )

@@ -18,6 +18,35 @@ DEFAULT_DIGESTS = {
     "abc12": "f71354a60e01c997b6adfc9796bca7b036f8e24c6f3c6e69682783182370f617",
 }
 
+# The (holds, witness) digest, the HOLDS count and the visited total of the
+# path-scoped (``global_memo=False``) and axiom-free (``use_axioms=False``)
+# checkers.  Scoping assumptions to the path revisits pairs, and runs out of
+# fuel on one ``abc12`` query, so one fewer holds there; otherwise it gives
+# the default answers.  Without the axioms the checker unfolds what they
+# close, so it gives the default verdicts but finds some witnesses along
+# other paths.
+MODE_LINES = {
+    "scoped": {
+        "ab10": ("33d508c105ba2928729fe062ccaf6d8ef68dae255683b6a58bb772b6fa0e6339", 369, 2329),
+        "ab14": ("5094db57d8b59b852dc8b8b840edafd0a6c2038c261cd82cedb9734b122e35fa", 550, 4377),
+        "abc12": ("427544a82c55b96ad06f0a966ac47b1f6f83c850392fd2e1d503fd074d30f37f", 214, 13171),
+    },
+    "bare": {
+        "ab10": ("96a31f41f17763a245e6bf75eb53e69c662f64d0e0ec89d1c8efb4e2cd3af42d", 369, 2350),
+        "ab14": ("a1bda8e8111b4e9cefeade122189c5294b1ed29f34f5d99cc84976374f9931da", 550, 3700),
+        "abc12": ("3a05dbc44f4a7a07cf5bbc8fbc1e908f7fc635a0a66b0806ff3d975bd2ca1370", 215, 1722),
+    },
+}
+
+# The digest and count of the default checker's rule events over each
+# corpus: the pairs visited, the rule that closed each, the order of the
+# branches and the text of every node.
+TRACE_DIGESTS = {
+    "ab10": ("2dc6d20180334a60ca9afd452e7071cc5fe8903594f10c125fc8e4f1db9b55da", 2331),
+    "ab14": ("4764e71dae30878daf043bd9baad49f027b1fe124856ce9e4ff94a852f539672", 3814),
+    "abc12": ("ac8a227faf9fc9a9436e3d478eeb489530a5202828b0f82bf55615c2ebd3d5ca", 1901),
+}
+
 # The (holds, shortlex-least witness) digests: the answers in language
 # terms, whichever path the engine finds its witness along.
 SHORTLEX_DIGESTS = {
@@ -49,3 +78,17 @@ def test_intersection_words_are_pinned():
     for name, (sha, empty) in INTERSECTION_DIGESTS.items():
         outcomes = corpora_digest.intersection_outcomes(name)
         assert (corpora_digest.sha256(outcomes), outcomes.count(None)) == (sha, empty), name
+
+
+def test_scoped_and_bare_mode_answers_are_pinned():
+    for mode, lines in MODE_LINES.items():
+        for name, line in lines.items():
+            outcomes, visited = corpora_digest.check_outcomes(name, mode)
+            holds = sum(o[0] is True for o in outcomes)
+            assert (corpora_digest.sha256(outcomes), holds, visited) == line, (mode, name)
+
+
+def test_default_mode_traces_are_pinned():
+    for name, pin in TRACE_DIGESTS.items():
+        events = corpora_digest.trace_events(name)
+        assert (corpora_digest.sha256(events), len(events)) == pin, name

@@ -9,6 +9,10 @@ hold and the total of visited pairs.  An outcome is ``[holds, witness]``; a
 query that runs out of fuel records ``["FuelExhausted", visited]`` instead,
 and its visited pairs count in the total.  The path-scoped mode runs under
 ``SCOPED_FUEL``, because it blows up on one pair of the ``abc12`` corpus.
+A ``trace`` line per corpus digests the rule events of the default checker
+over the whole corpus, as they would be written as JSON, and counts them:
+two trees that give the same trace lines visit the same pairs in the same
+order and render them alike.
 
 A last line per corpus, in the ``shortlex`` column, digests the answers in
 language terms: each outcome is ``[holds, witness]`` with the witness the
@@ -66,6 +70,16 @@ def check_outcomes(name: str, mode: str) -> tuple[list, int]:
     return outcomes, visited
 
 
+def trace_events(name: str) -> list[dict]:
+    """The rule events of the default checker over corpus ``name``."""
+    b, _, pairs = c3_corpus(name)
+    events: list[dict] = []
+    chk = Checker(b, trace=events.append)
+    for r, s in pairs:
+        chk.check(r, s)
+    return events
+
+
 def shortlex_outcomes(name: str) -> list:
     """``[holds, shortlex-least witness]`` of each query of corpus ``name``."""
     b, _, pairs = c3_corpus(name)
@@ -95,6 +109,9 @@ def main() -> None:
             outcomes, visited = check_outcomes(name, mode)
             holds = sum(o[0] is True for o in outcomes)
             print(f"{name:6s} {mode:8s} sha256={sha256(outcomes)} holds={holds} visited={visited}")
+    for name in C3_CORPORA:
+        events = trace_events(name)
+        print(f"{name:6s} trace    sha256={sha256(events)} events={len(events)}")
     for name in C3_CORPORA:
         outcomes = shortlex_outcomes(name)
         holds = sum(o[0] for o in outcomes)
