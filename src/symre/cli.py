@@ -9,6 +9,11 @@ Subcommands::
     next   EXPR       print the next-literal partition, one literal per line
     trace  LHS RHS    like check, but stream the rule trace as JSON lines
 
+A trace, on stdout for ``trace`` or in the ``--trace-json`` file, is written
+one JSON line per event while the check runs, so a check cut short by an
+error leaves the events made before it.  The file opens before the check: a
+path that cannot be written is an error before anything is decided.
+
 Exit codes: 0 holds/match, 1 fails/no match, 2 errors (parse, usage, fuel,
 I/O, internal), 3 oracle disagreement under ``--oracle-check``.
 """
@@ -31,7 +36,6 @@ from .derivative import deriv_literal
 from .nextlit import next_literals
 from .syntax import (
     ExprBuilder,
-    ParseError,
     parse_class_text,
     parse_with_metrics,
     to_text,
@@ -126,7 +130,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (FuelExhausted, ParseError, AlgebraError, ValueError, OSError) as exc:
+    except (FuelExhausted, ValueError, OSError) as exc:  # parse and algebra errors too
         print(f"error: {exc}", file=sys.stderr)
         return EX_ERROR
     except Exception as exc:  # a crash must never read as a verdict
@@ -173,30 +177,22 @@ def _run(args: argparse.Namespace) -> int:
     # check / equiv / trace
     lhs = parse_expr(args.lhs, "lhs")
     rhs = parse_expr(args.rhs, "rhs")
-    events: list[dict] = []
-    wants_trace = args.trace_json is not None or args.command == "trace"
-    checker = Checker(
-        builder,
-        use_axioms=not args.no_axioms,
-        global_memo=args.global_memo,
-        fuel=args.fuel,
-        trace=events.append if wants_trace else None,
-    )
-    if args.command == "equiv":
-        verdict = checker.equivalent(lhs, rhs)
-    else:
-        verdict = checker.check(lhs, rhs)
-
-    if wants_trace:
-        import json
-
+    # Opened before the check, so a path that cannot be written fails at once.
+    streams = [sys.stdout] if args.command == "trace" else []
+    if args.trace_json is not None:
+        streams.append(open(args.trace_json, "w", encoding="utf-8"))
+    try:
+        checker = Checker(
+            builder,
+            use_axioms=not args.no_axioms,
+            global_memo=args.global_memo,
+            fuel=args.fuel,
+            trace=_json_lines(streams) if streams else None,
+        )
+        verdict = (checker.equivalent if args.command == "equiv" else checker.check)(lhs, rhs)
+    finally:
         if args.trace_json is not None:
-            with open(args.trace_json, "w", encoding="utf-8") as fh:
-                for event in events:
-                    fh.write(json.dumps(event) + "\n")
-        if args.command == "trace":
-            for event in events:
-                print(json.dumps(event))
+            streams[-1].close()
 
     line = "HOLDS" if verdict.holds else f"FAILS witness={algebra.format_word(verdict.witness)}"
     print(line, file=sys.stderr if args.command == "trace" else sys.stdout)
@@ -205,6 +201,18 @@ def _run(args: argparse.Namespace) -> int:
         print("oracle disagreement: verdict not confirmed by the slice oracle", file=sys.stderr)
         return EX_ORACLE
     return EX_HOLDS if verdict.holds else EX_FAILS
+
+
+def _json_lines(streams: list):
+    """A trace sink that writes each event as one JSON line to every stream."""
+    import json
+
+    def write(event: dict) -> None:
+        line = json.dumps(event) + "\n"
+        for stream in streams:
+            stream.write(line)
+
+    return write
 
 
 def _make_oracle(builder: ExprBuilder):

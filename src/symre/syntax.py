@@ -534,6 +534,10 @@ _LEVEL_ALT, _LEVEL_AND, _LEVEL_CAT, _LEVEL_NEG, _LEVEL_POST, _LEVEL_ATOM = 0, 1,
 def to_text(r: Ere, texts: dict | None = None) -> str:
     """Render a normalized tree in the concrete syntax (parse round-trips).
 
+    The members of ``|`` and ``&`` are joined in sorted order of their
+    texts, so the text depends on the node alone, not on the eids its
+    builder gave its members: two builders render one expression alike.
+
     ``texts`` maps each node rendered so far to its text without enclosing
     parentheses.  Calls that share one such dict render each node once
     across all of them, every suffix of a concatenation included: a
@@ -588,9 +592,9 @@ def _text_of(r: Ere, parts: tuple, texts: dict) -> str:
     if isinstance(r, Literal):
         return r.symbols.algebra.format_set(r.symbols)
     if isinstance(r, Union):
-        return "|".join(_at(m, _LEVEL_AND, texts) for m in parts)
+        return "|".join(sorted(_at(m, _LEVEL_AND, texts) for m in parts))
     if isinstance(r, And):
-        return "&".join(_at(m, _LEVEL_CAT, texts) for m in parts)
+        return "&".join(sorted(_at(m, _LEVEL_CAT, texts) for m in parts))
     if isinstance(r, Concat):
         # A non-concatenation last factor is wrapped at the level of a
         # factor or of a concatenation alike; a tail chain is not wrapped.

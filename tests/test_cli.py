@@ -171,11 +171,36 @@ def test_equiv_trace_replays_to_its_verdict(capsys, tmp_path, lhs, rhs, code):
 
 
 def test_trace_file_that_cannot_be_written_is_an_error(capsys, tmp_path):
-    path = tmp_path / "missing" / "trace.jsonl"
-    code, out, err = run(capsys, "check", *ABC, "--trace-json", str(path), "a", "a")
-    assert code == 2
-    assert not out
-    assert err.startswith("error: ") and "internal error" not in err
+    # the file opens before the check: a check that would run out of fuel
+    # reports the unwritable path, not the fuel
+    path = tmp_path / "missing" / "t.jsonl"
+    for query in (["a", "a"], ["--fuel", "1", "(ab|ba)*", "(aa|bb)*"]):
+        code, out, err = run(capsys, "check", *ABC, "--trace-json", str(path), *query)
+        assert code == 2
+        assert not out
+        assert err.startswith("error: [Errno") and "t.jsonl" in err and "fuel" not in err
+
+
+def test_trace_cut_short_by_fuel_holds_the_events_before_the_cap(capsys, tmp_path, monkeypatch):
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    path = tmp_path / "trace.jsonl"
+    query = ["--fuel", "2", "(ab|ba)*", "(aa|bb)*"]
+    code, out, err = run(capsys, "trace", *ABC, *query)
+    assert code == 2 and "fuel exhausted after" in err
+    events = [json.loads(line) for line in out.splitlines()]
+    assert events and not opened
+    with pytest.raises(ValueError, match="ends inside an unfolding"):
+        replay_trace(events)
+    # both streams at once: the file gets the same lines, and is closed
+    assert run(capsys, "trace", *ABC, "--trace-json", str(path), *query)[:2] == (2, out)
+    assert len(opened) == 1 and opened[0].closed
+    assert path.read_text() == out
 
 
 def test_trace_subcommand_streams_to_stdout(capsys):

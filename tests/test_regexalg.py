@@ -158,3 +158,13 @@ def test_format_set(alg):
     # (a|b) merges to the full inner class, which renders as '.'
     assert alg.format_set(alg.set_of("a(a|b)*")) == "{a.*}"
     assert alg.format_set(alg.bottom()) == "{[]}"
+
+
+def test_format_set_does_not_depend_on_what_was_interned_before(alg):
+    # ``a`` interned by an unrelated set gets a smaller eid than ``bb`` here,
+    # and a larger one in a fresh algebra; the text sorts the members anyway
+    # (``b|a`` itself would merge into the one class ``.``)
+    alg.set_of("a*")
+    warm = alg.format_set(alg.set_of("bb|a"))
+    fresh = RegexAlgebra("ab")
+    assert warm == fresh.format_set(fresh.set_of("bb|a")) == "{a|bb}"

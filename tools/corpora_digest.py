@@ -12,7 +12,9 @@ and its visited pairs count in the total.  The path-scoped mode runs under
 A ``trace`` line per corpus digests the rule events of the default checker
 over the whole corpus, as they would be written as JSON, and counts them:
 two trees that give the same trace lines visit the same pairs in the same
-order and render them alike.
+order and render them alike.  A text joins the members of ``|`` and ``&`` in
+sorted order, so the trace line no longer depends on what the builder
+interned before: a builder change that only shifts eids leaves it as it is.
 
 A last line per corpus, in the ``shortlex`` column, digests the answers in
 language terms: each outcome is ``[holds, witness]`` with the witness the
