@@ -9,7 +9,8 @@ representations are provided here:
 * :class:`IntervalAlgebra` -- sets of codepoints stored as sorted disjoint
   intervals; scales to the full Unicode range.
 * :class:`FiniteCofiniteAlgebra` -- sets stored as an explicit finite set
-  plus a finite/cofinite tag; cofinite sets never enumerate the universe.
+  of codepoints plus a finite/cofinite tag; cofinite sets never enumerate
+  the universe.
 
 A fourth, regex-valued algebra (symbols are words over an inner alphabet)
 lives in :mod:`symre.regexalg` because it builds on the containment engine.
@@ -207,6 +208,12 @@ class _CodepointAlgebra(Algebra):
         self.min_codepoint = min_codepoint
         self.max_codepoint = max_codepoint
 
+    @staticmethod
+    def _codepoint(symbol) -> int:
+        """The codepoint of a one-character symbol, and -1 for any other
+        symbol (a longer string, an ``int``, a byte), which is in no set."""
+        return ord(symbol) if isinstance(symbol, str) and len(symbol) == 1 else -1
+
 
 # ---------------------------------------------------------------------------
 # Bit vectors over a small explicit alphabet
@@ -336,7 +343,7 @@ class IntervalAlgebra(_CodepointAlgebra):
 
     def contains(self, a: IntervalSet, symbol: str) -> bool:
         self._own(a)
-        cp = ord(symbol)
+        cp = self._codepoint(symbol)
         idx = bisect_right(a.intervals, (cp, MAX_CODEPOINT + 1)) - 1
         return idx >= 0 and a.intervals[idx][0] <= cp <= a.intervals[idx][1]
 
@@ -358,7 +365,8 @@ class IntervalAlgebra(_CodepointAlgebra):
 # Finite / cofinite sets
 
 
-# ``members``: the symbols of a finite set, the excluded ones of a cofinite set.
+# ``members``: the codepoints of a finite set, the excluded ones of a
+# cofinite set.
 class FcSet(namedtuple("FcSet", "algebra cofinite members"), SymbolSet):
     __slots__ = ()
 
@@ -368,6 +376,11 @@ class FiniteCofiniteAlgebra(_CodepointAlgebra):
 
     The universe bound only matters for ``pick_witness`` on cofinite sets
     and for canonicalization; no operation ever enumerates the universe.
+    Members are ``int`` codepoints, converted from and to characters only
+    at the boundary (``finite``, ``cofinite``, ``contains``,
+    ``pick_witness``): a class expands to its codepoints with no ``chr``,
+    and an ``int`` above U+00FF is cheaper to make, hash, compare and order
+    than the fresh one-character string ``chr`` returns for it.
     ``scan_steps`` counts every symbol actually visited by an enumeration
     and exists purely as instrumentation.
 
@@ -388,7 +401,7 @@ class FiniteCofiniteAlgebra(_CodepointAlgebra):
         self.scan_steps = 0
         self._memo: dict = {}
 
-    def _make(self, cofinite: bool, members: frozenset[str]) -> FcSet:
+    def _make(self, cofinite: bool, members: frozenset[int]) -> FcSet:
         # Canonical tag: the explicitly stored part is the smaller of the
         # set and its complement; ties resolve to the finite tag.
         explicit = len(members)
@@ -400,18 +413,19 @@ class FiniteCofiniteAlgebra(_CodepointAlgebra):
         s = FcSet(self, cofinite, members)
         return self._memo.setdefault(s, s)
 
-    def _enumerate_complement(self, members: frozenset[str]) -> frozenset[str]:
-        points = sorted((ord(c), ord(c)) for c in members)
-        out = [chr(cp) for lo, hi in _gaps(self, points) for cp in range(lo, hi + 1)]
+    def _enumerate_complement(self, members: frozenset[int]) -> frozenset[int]:
+        points = sorted((cp, cp) for cp in members)
+        out = [cp for lo, hi in _gaps(self, points) for cp in range(lo, hi + 1)]
         self.scan_steps += len(out) + len(members)
         return frozenset(out)
 
-    def _symbols(self, chars: Iterable[str]) -> frozenset[str]:
+    def _symbols(self, chars: Iterable[str]) -> frozenset[int]:
         members = frozenset(chars)
+        top = self.top()
         for c in members:
-            if not self.min_codepoint <= ord(c) <= self.max_codepoint:
+            if not self.contains(top, c):
                 raise AlgebraError(f"symbol {c!r} is not in the alphabet")
-        return members
+        return frozenset(map(ord, members))
 
     def bottom(self) -> FcSet:
         return self._make(False, frozenset())
@@ -467,9 +481,8 @@ class FiniteCofiniteAlgebra(_CodepointAlgebra):
 
     def contains(self, a: FcSet, symbol: str) -> bool:
         self._own(a)
-        if not self.min_codepoint <= ord(symbol) <= self.max_codepoint:
-            return False
-        return (symbol in a.members) != a.cofinite
+        cp = self._codepoint(symbol)
+        return self.min_codepoint <= cp <= self.max_codepoint and (cp in a.members) != a.cofinite
 
     def pick_witness(self, a: FcSet) -> str:
         self._own(a)
@@ -479,11 +492,11 @@ class FiniteCofiniteAlgebra(_CodepointAlgebra):
             key = ("min", a)
             out = self._memo.get(key)
             if out is None:
-                out = self._memo[key] = min(a.members)
+                out = self._memo[key] = chr(min(a.members))
             return out
         for cp in range(self.min_codepoint, self.max_codepoint + 1):
             self.scan_steps += 1
-            if chr(cp) not in a.members:
+            if cp not in a.members:
                 return chr(cp)
         raise AlgebraError("cofinite set with no witness")  # unreachable: canonical
 
@@ -502,10 +515,10 @@ class FiniteCofiniteAlgebra(_CodepointAlgebra):
                     "character class too large for the finite/cofinite algebra"
                 )
             self.scan_steps += total
-            chars = frozenset().union(*(map(chr, range(lo, hi + 1)) for lo, hi in ivs))
-            out = self._memo[key] = self._make(negate, chars)
+            points = frozenset().union(*(range(lo, hi + 1) for lo, hi in ivs))
+            out = self._memo[key] = self._make(negate, points)
         return out
 
     def _class_items(self, a: FcSet) -> tuple[bool, tuple[tuple[int, int], ...]]:
         # The stored part as it is, so rendering never enumerates a complement.
-        return a.cofinite, merge_intervals((ord(c), ord(c)) for c in a.members)
+        return a.cofinite, merge_intervals((cp, cp) for cp in a.members)

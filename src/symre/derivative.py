@@ -16,8 +16,9 @@ literal, where each tests the literal its own way, and at ``!``, where
 ``"pos"`` and ``"neg"`` swap.  No probe recurses along a concatenation, so
 a long chain of nullable heads costs no recursion depth.
 
-A symbol outside the algebra's universe is in no language, so every
-derivative by it is ``[]``, a complement's included.
+A symbol outside the algebra's universe (over a character alphabet, a
+character outside its range or anything that is not one character) is in
+no language, so every derivative by it is ``[]``, a complement's included.
 
 The fourth operator, ``partial_derivatives``, splits the symbol derivative
 into Antimirov's terms, with an ``&`` as the product of its members' terms

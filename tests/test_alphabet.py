@@ -10,7 +10,8 @@ from symre.alphabet import (
     IntervalAlgebra,
     merge_intervals,
 )
-from symre.syntax import parse_class_text
+from symre.containment import membership
+from symre.syntax import ExprBuilder, parse_class_text
 
 BITS = BitsetAlgebra("abcdefgh")
 IVALS = IntervalAlgebra(0x20, 0x2FF)
@@ -90,8 +91,10 @@ def test_bottom_and_top():
 def test_set_op_examples():
     abc = BitsetAlgebra("abc")
     assert abc.members(abc.intersect(abc.from_chars("ab"), abc.from_chars("bc"))) == ("b",)
+    # finite/cofinite members are codepoints; witnesses are still characters
     inv = FC.complement(FC.finite("a"))
-    assert inv.cofinite and inv.members == frozenset("a")
+    assert inv.cofinite and inv.members == frozenset(map(ord, "a"))
+    assert FC.pick_witness(FC.finite("ca")) == "a" and FC.pick_witness(inv) == "b"
     assert FC.is_empty(abc_empty := FC.intersect(FC.finite("a"), FC.finite("b")))
     assert abc.is_subset(abc.from_chars("b"), abc.from_chars("abc"))
 
@@ -159,13 +162,13 @@ def test_pick_witness_examples():
 def test_finite_cofinite_canonical_tag():
     small = FiniteCofiniteAlgebra(ord("a"), ord("d"))
     flipped = small.finite("abc")
-    assert flipped.cofinite and flipped.members == frozenset("d")
+    assert flipped.cofinite and flipped.members == frozenset(map(ord, "d"))
     assert small.is_equal(flipped, small.complement(small.finite("d")))
     # ties resolve to the finite tag
     half = small.finite("ab")
     assert not half.cofinite
     comp = small.complement(half)
-    assert not comp.cofinite and comp.members == frozenset("cd")
+    assert not comp.cofinite and comp.members == frozenset(map(ord, "cd"))
 
 
 def test_cofinite_never_enumerates_universe():
@@ -241,6 +244,30 @@ def test_constructors_reject_bad_input():
         for chars in ("A", "aA", "{"):
             with pytest.raises(AlgebraError, match="^symbol '[A{]' is not in the alphabet$"):
                 make(chars)
+
+
+@pytest.mark.parametrize("alg", [
+    BitsetAlgebra("ab"), IntervalAlgebra(), FiniteCofiniteAlgebra(),
+], ids=["bitset", "unicode", "cofinite"])
+def test_a_symbol_that_is_not_one_character_is_in_no_set(alg):
+    # over every alphabet, as for a symbol outside its universe; neither the
+    # codepoint 97 nor the byte b"a" stands in for "a", whatever the
+    # representation stores
+    a, not_a = alg.class_set([(97, 97)], False), alg.class_set([(97, 97)], True)
+    for bad in ("ab", "", 97, b"a", None):
+        for s in (a, not_a, alg.top()):
+            assert alg.contains(s, bad) is False
+    b = ExprBuilder(alg)
+    for word in (["ab"], [97], [b"a"], ["a", 97]):
+        for text in ("!a", ".*", "!(b.*)"):
+            assert not membership(b, word, b.parse(text))
+    assert membership(b, ["a"], b.parse("!b"))
+    # the constructors from characters refuse it
+    makers = [getattr(alg, name) for name in ("from_chars", "finite", "cofinite") if hasattr(alg, name)]
+    for make in makers:
+        for bad, shown in (("ab", "'ab'"), (97, "97"), (b"a", "b'a'")):
+            with pytest.raises(AlgebraError, match=f"^symbol {shown} is not in the alphabet$"):
+                make(["a", bad])
 
 
 def test_subset_via_complement_definition():

@@ -19,6 +19,15 @@ emptiness peak_rss_mb = 19.2461 MB
 {"correct": true, "attempted": 15, "failed": 0, "metrics": {}}
 """
 
+# What ``bench/run.py --workload all --trace 1`` prints: per-layer metric lines.
+TRACED = """\
+mixed_queries alphabet.self_s = 0.185 s
+mixed_queries alphabet.scan_steps = 123853 count
+mixed_queries share.alphabet = 0.39 ratio
+emptiness containment.visited_pairs = 512 count
+{"correct": true, "attempted": 15, "failed": 0, "metrics": {}}
+"""
+
 
 def test_parses_metric_lines_only():
     metrics = bench_record.parse_metrics(OUTPUT)
@@ -50,6 +59,26 @@ def test_diff_gives_ratios_new_over_old():
     ]
 
 
+def test_diff_of_the_per_layer_metrics():
+    old = {"metrics": {}, "per_layer": bench_record.parse_metrics(TRACED)}
+    new = {"metrics": {}, "per_layer": bench_record.parse_metrics(
+        TRACED.replace("0.185 s", "0.0925 s")
+    )}
+    assert bench_record.diff_lines(old, new, "per_layer") == [
+        "emptiness containment.visited_pairs = 512 count  x1.000",
+        "mixed_queries alphabet.scan_steps = 123853 count  x1.000",
+        "mixed_queries alphabet.self_s = 0.0925 s  x0.500",
+        "mixed_queries share.alphabet = 0.39 ratio  x1.000",
+    ]
+    # a record written before per-layer metrics were recorded has none
+    assert bench_record.diff_lines({"metrics": {}}, new, "per_layer")[0] == (
+        "emptiness containment.visited_pairs = 512 count  new"
+    )
+    assert bench_record.diff_lines(new, {"metrics": {}}, "per_layer")[0] == (
+        "emptiness containment.visited_pairs: only in the old record"
+    )
+
+
 def test_compares_with_the_newest_earlier_record(tmp_path):
     assert bench_record.previous_record(tmp_path, 18) is None
     for n in (2, 9, 17, 19):
@@ -77,9 +106,14 @@ def test_warns_when_records_differ_in_the_bytecode_setting():
 
 def test_writes_the_record_and_prints_the_diff(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
-    # a checkout whose benchmark prints the canned output; it is no git tree
+    # a checkout whose benchmark prints the canned output of a plain or a
+    # traced run; it is no git tree
     (tmp_path / "bench").mkdir()
-    (tmp_path / "bench" / "run.py").write_text(f"print({OUTPUT!r}, end='')\n")
+    (tmp_path / "bench" / "run.py").write_text(
+        "import sys\n"
+        "traced = sys.argv[sys.argv.index('--trace') + 1] == '1'\n"
+        f"print({TRACED!r} if traced else {OUTPUT!r}, end='')\n"
+    )
     old = {"metrics": {"emptiness": {"queries_per_s": {"value": 1393.345, "unit": "1/s"}}}}
     (tmp_path / "BENCH_3.json").write_text(json.dumps(old))
     argv = ["4", "--seed", "7", "--seconds", "2", "--checkout", str(tmp_path), "--dir", str(tmp_path)]
@@ -91,8 +125,18 @@ def test_writes_the_record_and_prints_the_diff(tmp_path, capsys, monkeypatch):
         "commit": "unknown",
         "dont_write_bytecode": True,
         "metrics": bench_record.parse_metrics(OUTPUT),
+        "per_layer": bench_record.parse_metrics(TRACED),
     }
     out = capsys.readouterr().out.splitlines()
     assert out[1] == "against BENCH_3.json:"
     assert out[2].startswith("warning: PYTHONDONTWRITEBYTECODE was not recorded")
     assert "emptiness queries_per_s = 2786.69 1/s  x2.000" in out
+    # the per-layer metrics follow the end-to-end ones; the old record has none
+    layer = out.index("per layer:")
+    assert out[layer - 1] == "mixed_queries wrong_verdicts = 0 count  new"
+    assert out[layer + 1:] == [
+        "emptiness containment.visited_pairs = 512 count  new",
+        "mixed_queries alphabet.scan_steps = 123853 count  new",
+        "mixed_queries alphabet.self_s = 0.185 s  new",
+        "mixed_queries share.alphabet = 0.39 ratio  new",
+    ]

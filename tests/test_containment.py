@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -581,6 +582,48 @@ def test_twin_alphabets_agree():
         assert bits.holds == uni.holds
         refuted += not uni.holds
     assert refuted == 655  # of the 1000 pairs
+
+
+# Placeholder classes for the wide twin referee: ASCII ranges, one symbol on
+# either side of Latin-1, CJK, emoji, and a class spanning both; each fits
+# ``FiniteCofiniteAlgebra.CLASS_EXPANSION_LIMIT``, negated or not.
+WIDE_CLASSES = (
+    "[a-m]", "[k-z]", "[0-9a-f]", "x", "\\u{9fff}", "[\\u{4e00}-\\u{9fff}]",
+    "[\\u{1f600}-\\u{1f64f}]", "[\\u{4e00}-\\u{9fff}\\u{1f600}-\\u{1f64f}]",
+)
+
+
+def test_twin_alphabets_agree_on_wide_classes():
+    # As above, over classes far above Latin-1, whose characters are fresh
+    # objects on every ``chr``.  Each pair is drawn over the placeholders
+    # ``abc``; then each placeholder becomes a class of ``WIDE_CLASSES``,
+    # negated 30% of the time, a set of placeholders the union of their
+    # classes, and ``.`` and ``[]`` stay as they are.
+    rng = random.Random(22)
+    abc = BitsetAlgebra("abc")
+    subsets = [abc.from_chars(c) for k in range(4) for c in itertools.combinations("abc", k)]
+    checkers = [Checker(ExprBuilder(make_algebra(spec))) for spec in ("unicode", "cofinite")]
+    refuted = wide_witnesses = 0
+    for _ in range(500):
+        wide = {}
+        for p in "abc":
+            c = rng.choice(WIDE_CLASSES)
+            wide[p] = f"[^{c.strip('[]')}]" if rng.random() < 0.3 else c
+        texts = {
+            abc.format_set(s): "(" + "|".join(wide[p] for p in abc.members(s)) + ")"
+            for s in subsets[1:-1]
+        }
+        texts.update({".": ".", "[]": "[]"})
+        r, s = (
+            re.sub(r"\[\^?[abc]*\]|[abc.]", lambda m: texts[m.group()],
+                   raw_text(random_raw(rng, abc, 10, C3_WEIGHTS)))
+            for _ in "rs"
+        )
+        uni, cof = (c.check(c.builder.parse(r), c.builder.parse(s)) for c in checkers)
+        assert (cof.holds, cof.witness) == (uni.holds, uni.witness), (r, s)
+        refuted += not uni.holds
+        wide_witnesses += not uni.holds and max(map(ord, uni.witness), default=0) > 0xFF
+    assert (refuted, wide_witnesses) == (315, 47)  # of the 500 pairs
 
 
 # -- other algebras ------------------------------------------------------------------

@@ -3,17 +3,20 @@
 Usage: python tools/bench_record.py N [--seed S] [--seconds T] [--checkout DIR] [--dir DIR]
 
 Runs ``python3 bench/run.py --workload all --seed S --seconds T`` in the
-checkout ``DIR`` (default: this repository) and parses every
-``<workload> <name> = <value> <unit>`` line it prints.  Writes
-``BENCH_<N>.json`` into ``--dir`` (default: the repository root) with the
-seed, the seconds, the checkout's commit (``+dirty`` when tracked files
-differ from it), whether ``PYTHONDONTWRITEBYTECODE`` was set and every
-metric, then prints each metric's ratio, new over old, against the newest
-``BENCH_<m>.json`` with ``m < N`` in the same directory.  A metric that only
-one of the two files has is listed without a ratio.  With the variable set,
-every fresh process compiles ``src/symre`` from source, so ``setup_s`` and
+checkout ``DIR`` (default: this repository) twice, with ``--trace 0`` and
+then ``--trace 1``, and parses every ``<workload> <name> = <value> <unit>``
+line each prints.  Writes ``BENCH_<N>.json`` into ``--dir`` (default: the
+repository root) with the seed, the seconds, the checkout's commit
+(``+dirty`` when tracked files differ from it), whether
+``PYTHONDONTWRITEBYTECODE`` was set, the end-to-end metrics of the plain run
+under ``metrics`` and the per-layer metrics of the traced run under
+``per_layer``.  Then it prints each metric's ratio, new over old, against
+the newest ``BENCH_<m>.json`` with ``m < N`` in the same directory, the
+per-layer ones after a ``per layer:`` line.  A metric that only one of the
+two files has is listed without a ratio.  With the variable set, every
+fresh process compiles ``src/symre`` from source, so ``setup_s`` and
 ``cli_p50_ms`` of two records compare only if both agree on it; a warning
-says when they do not.  Exits with the status of the benchmark run.
+says when they do not.  Exits with the worse status of the two runs.
 """
 
 from __future__ import annotations
@@ -53,10 +56,11 @@ def previous_record(directory: Path, number: int) -> Path | None:
     return max(found)[1] if found else None
 
 
-def diff_lines(old: dict, new: dict) -> list[str]:
-    """One line per metric of either record: the new value and its ratio to the old."""
+def diff_lines(old: dict, new: dict, key: str = "metrics") -> list[str]:
+    """One line per metric under ``key`` of either record: the new value and
+    its ratio to the old.  A record without ``key`` has no such metrics."""
     lines = []
-    old_m, new_m = old["metrics"], new["metrics"]
+    old_m, new_m = old.get(key, {}), new.get(key, {})
     for workload in sorted(set(old_m) | set(new_m)):
         before, after = old_m.get(workload, {}), new_m.get(workload, {})
         for name in sorted(set(before) | set(after)):
@@ -108,16 +112,19 @@ def main(argv=None) -> int:
     parser.add_argument("--dir", type=Path, default=ROOT)
     args = parser.parse_args(argv)
 
-    cmd = ["python3", "bench/run.py", "--workload", "all", "--seed", str(args.seed),
-           "--seconds", str(args.seconds)]
-    proc = subprocess.run(cmd, cwd=args.checkout, capture_output=True, text=True)
-    sys.stderr.write(proc.stderr)
+    runs = []
+    for trace in ("0", "1"):
+        cmd = ["python3", "bench/run.py", "--workload", "all", "--seed", str(args.seed),
+               "--seconds", str(args.seconds), "--trace", trace]
+        runs.append(subprocess.run(cmd, cwd=args.checkout, capture_output=True, text=True))
+        sys.stderr.write(runs[-1].stderr)
     record = {
         "seed": args.seed,
         "seconds": args.seconds,
         "commit": commit_of(args.checkout),
         "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
-        "metrics": parse_metrics(proc.stdout),
+        "metrics": parse_metrics(runs[0].stdout),
+        "per_layer": parse_metrics(runs[1].stdout),
     }
     out = args.dir / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
@@ -133,7 +140,10 @@ def main(argv=None) -> int:
             print(warning)
         for line in diff_lines(old, record):
             print(line)
-    return proc.returncode
+        print("per layer:")
+        for line in diff_lines(old, record, "per_layer"):
+            print(line)
+    return max(run.returncode for run in runs)
 
 
 if __name__ == "__main__":
