@@ -85,18 +85,21 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="bitset:<chars>, unicode, or cofinite (default: unicode)",
     )
-    common.add_argument("--fuel", type=_positive_int, default=DEFAULT_FUEL, metavar="N",
-                        help="cap on visited pairs and on each emptiness search's nodes")
-    common.add_argument("--no-axioms", action="store_true",
-                        help="disable the prove/disprove fast paths")
-    common.add_argument("--global-memo", type=_bool_flag, default=True, metavar="BOOL",
-                        help="keep all visited pairs for cycle detection (default: true)")
-    common.add_argument("--trace-json", metavar="PATH",
-                        help="write one JSON object per rule application to PATH")
     common.add_argument("--oracle-check", action="store_true",
                         help="cross-validate the verdict against the slice oracle")
     common.add_argument("--raw-metrics", action="store_true",
                         help="report size/width of each expression as written")
+
+    # the options of the commands that run a Checker
+    checking = argparse.ArgumentParser(add_help=False)
+    checking.add_argument("--fuel", type=_positive_int, default=DEFAULT_FUEL, metavar="N",
+                          help="cap on visited pairs and on each emptiness search's nodes")
+    checking.add_argument("--no-axioms", action="store_true",
+                          help="disable the prove/disprove fast paths")
+    checking.add_argument("--global-memo", type=_bool_flag, default=True, metavar="BOOL",
+                          help="keep all visited pairs for cycle detection (default: true)")
+    checking.add_argument("--trace-json", metavar="PATH",
+                          help="write one JSON object per rule application to PATH")
 
     parser = argparse.ArgumentParser(
         prog="symre",
@@ -104,10 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common], help="decide containment")
+    p = sub.add_parser("check", parents=[common, checking], help="decide containment")
     p.add_argument("lhs")
     p.add_argument("rhs")
-    p = sub.add_parser("equiv", parents=[common], help="decide equivalence")
+    p = sub.add_parser("equiv", parents=[common, checking], help="decide equivalence")
     p.add_argument("lhs")
     p.add_argument("rhs")
     p = sub.add_parser("match", parents=[common], help="decide word membership")
@@ -119,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p = sub.add_parser("next", parents=[common], help="print the next literals")
     p.add_argument("expr")
-    p = sub.add_parser("trace", parents=[common],
+    p = sub.add_parser("trace", parents=[common, checking],
                        help="check and stream the rule trace to stdout")
     p.add_argument("lhs")
     p.add_argument("rhs")

@@ -10,12 +10,13 @@ have the same derivative on each side, so a branch costs two symbol
 derivatives by the witness.  A pair without classes is unfolded into no
 branches.
 Termination follows from the finiteness of dissimilar iterated derivatives.
-Fast-path axioms close a pair before it is unfolded: identity, an empty
-left side, an epsilon left side against a nullable right side, the
+Four fast-path axioms close a pair before it is unfolded: identity, the
 universal right side ``.*``, a left intersection among whose members is
 every conjunct of the right side (``L(r & s)`` is contained in ``L(r)``),
 and an empty right side, which the shortest-word search of the left side
-decides either way.  They never change a verdict, only the statistics.
+decides either way.  They never change a verdict, only the statistics.  A
+``[]`` or ``()`` left side has no next literals, so the unfolding closes
+its pair in the one visit that opens it, with no axiom.
 A traced check renders each node once: its events share one map of node
 texts, so each pair costs its new nodes only.
 
@@ -31,7 +32,7 @@ from collections.abc import Callable, Iterable, Sequence
 
 from .derivative import deriv_symbol, deriv_word, partial_derivatives
 from .nextlit import next_literals, pair_classes
-from .syntax import And, Epsilon, Ere, ExprBuilder, to_text
+from .syntax import And, Ere, ExprBuilder, to_text
 
 DEFAULT_FUEL = 1 << 20
 
@@ -44,8 +45,6 @@ TRACE_RULES = {
     "cycle": True,
     "unfold": None,
     "prove-identity": True,
-    "prove-empty": True,
-    "prove-nullable": True,
     "prove-universal": True,
     "prove-conjunct": True,
     "disprove-empty": False,
@@ -209,12 +208,6 @@ class Checker:
             if self.use_axioms:
                 if lhs is rhs:
                     emit("prove-identity", lhs, rhs, None, depth)
-                    return None
-                if lhs is bottom:
-                    emit("prove-empty", lhs, rhs, None, depth)
-                    return None
-                if isinstance(lhs, Epsilon) and rhs.nullable:
-                    emit("prove-nullable", lhs, rhs, None, depth)
                     return None
                 if rhs is top:
                     emit("prove-universal", lhs, rhs, None, depth)

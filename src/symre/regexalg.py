@@ -76,8 +76,11 @@ class RegexAlgebra(Algebra):
         return super().is_equal(a, b) or (self.is_subset(a, b) and self.is_subset(b, a))
 
     def contains(self, a: RegexSet, symbol: str) -> bool:
+        """Whether the inner word ``symbol`` is in ``a``.  A symbol is a
+        ``str``; anything else, a tuple of inner symbols included, is in no
+        set, as a symbol outside a character alphabet is."""
         self._own(a)
-        return membership(self.inner, symbol, a.expr)
+        return isinstance(symbol, str) and membership(self.inner, symbol, a.expr)
 
     def pick_witness(self, a: RegexSet) -> str:
         symbols = self._shortest(a)

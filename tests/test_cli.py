@@ -42,6 +42,25 @@ def test_check_flags(capsys):
         assert code == 1 and out == "FAILS witness=c\n"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["match", "a", "a"], ["derive", "--by", "a", "ab"], ["next", "a"]],
+    ids=["match", "derive", "next"],
+)
+def test_checker_options_only_on_the_checking_commands(capsys, tmp_path, command):
+    # match, derive and next run no check, so the checker's options are
+    # usage errors there rather than silently ignored
+    path = tmp_path / "trace.jsonl"
+    for option in (
+        ["--fuel", "4"], ["--no-axioms"], ["--global-memo", "false"], ["--trace-json", str(path)]
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], *ABC, *option, *command[1:]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_global_memo_flag_values(capsys):
     code, out, _ = run(capsys, "check", *ABC, "--global-memo", "true", "a*", "(a|b)*")
     assert code == 0 and out == "HOLDS\n"
@@ -149,9 +168,8 @@ def test_trace_json_file(capsys, tmp_path):
     )
     rules = {e["rule"] for e in events}
     assert rules <= {
-        "disprove", "cycle", "unfold", "prove-identity",
-        "prove-empty", "prove-nullable", "prove-universal", "prove-conjunct",
-        "disprove-empty", "prove-empty-language",
+        "disprove", "cycle", "unfold", "prove-identity", "prove-universal",
+        "prove-conjunct", "disprove-empty", "prove-empty-language",
     }
     assert replay_trace(events) is False
 

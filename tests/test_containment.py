@@ -85,6 +85,26 @@ def test_prove_nullable(b, chk):
     assert not chk.check(b.epsilon(), b.parse("a")).holds
 
 
+@pytest.mark.parametrize(
+    "mode", [{}, {"global_memo": False}, {"use_axioms": False}], ids=["default", "scoped", "bare"]
+)
+@pytest.mark.parametrize(
+    "lhs,rhs,rule",
+    [("[]", "a", "unfold"), ("()", "a*", "unfold"), ("[]", ".*", "prove-universal")],
+)
+def test_left_side_without_next_literals_closes_in_one_visit(mode, lhs, rhs, rule):
+    # [] and () have no next literals, so the unfolding closes the pair in
+    # the one visit that opens it: a frame without branches
+    b = ExprBuilder(BitsetAlgebra("abc"))
+    events = []
+    verdict = Checker(b, trace=events.append, **mode).check(b.parse(lhs), b.parse(rhs))
+    assert verdict == (True, None, CheckStats(1, 0))
+    if mode.get("use_axioms") is False:
+        rule = "unfold"  # no axiom closes [] <= .* then
+    assert events == [{"rule": rule, "lhs": lhs, "rhs": rhs, "literal": None, "depth": 0}]
+    assert replay_trace(events) is True
+
+
 def test_disprove_empty_produces_shortest_witness(b, chk):
     verdict = chk.check(b.parse("ab*c"), b.parse("[]"))
     assert not verdict.holds and verdict.witness == "ac"

@@ -44,14 +44,29 @@ MODE_LINES = {
 }
 
 # The digest and count of the default checker's rule events over each
-# corpus: the pairs visited, the rule that closed each, the order of the
-# branches and the text of every node.  A text joins the members of ``|`` and
-# ``&`` in sorted order, so it no longer depends on what the builder interned
-# before; a change of eids alone leaves these lines as they are.
+# corpus, and the count of each rule's events in ``TRACE_RULES`` order
+# (disprove, cycle, unfold, prove-identity, prove-universal, prove-conjunct,
+# disprove-empty, prove-empty-language): the pairs visited, the rule that
+# closed each, the order of the branches and the text of every node.  A text
+# joins the members of ``|`` and ``&`` in sorted order, so it no longer
+# depends on what the builder interned before; a change of eids alone leaves
+# these lines as they are.
 TRACE_DIGESTS = {
-    "ab10": ("245b98a8c9f5258cb4fca1652d47579c25a1e45b4e71176597c1e199f695f118", 2331),
-    "ab14": ("c243ae0f6efa8cf702e48da37be8266d8c4bfb3c5a03055b55b4dc4e001b1ee2", 3814),
-    "abc12": ("ca38e51b46368f5e7aeda658b747f547d6a9e04b1df1fd138917e824ee5b6a78", 1901),
+    "ab10": (
+        "eb9ed068feebf245ea202fd0dee3d3e7b61d6f212f13fbbb1b44966e07326079",
+        2331,
+        (575, 164, 1339, 90, 17, 30, 56, 60),
+    ),
+    "ab14": (
+        "651180e70096cf123028cb89eee61f49d8a821d27a66838f0aed990c771f8d5f",
+        3814,
+        (847, 378, 2215, 138, 27, 36, 103, 70),
+    ),
+    "abc12": (
+        "588b18e1828fbb05dcbdc3fc48f07eb7c42a357a570650be6daf38149cbacfaf",
+        1901,
+        (337, 235, 1131, 78, 8, 20, 48, 44),
+    ),
 }
 
 # The (holds, shortlex-least witness) digests: the answers in language
@@ -98,7 +113,8 @@ def test_scoped_and_bare_mode_answers_are_pinned():
 def test_default_mode_traces_are_pinned():
     for name, pin in TRACE_DIGESTS.items():
         events = corpora_digest.trace_events(name)
-        assert (corpora_digest.sha256(events), len(events)) == pin, name
+        pinned = (corpora_digest.sha256(events), len(events), corpora_digest.rule_counts(events))
+        assert pinned == pin, name
 
 
 def test_texts_and_traces_do_not_depend_on_what_the_builder_interned():

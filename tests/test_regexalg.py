@@ -33,6 +33,12 @@ def test_contains_words(alg):
     assert alg.contains(starts_a, "ab")
     assert not alg.contains(starts_a, "ba")
     assert not alg.contains(alg.bottom(), "")
+    # a symbol that is not a str is in no set, not even the top one
+    b = ExprBuilder(alg)
+    for symbol in (97, b"a", ("a",)):
+        assert not alg.contains(starts_a, symbol)
+        assert not alg.contains(alg.top(), symbol)
+        assert not membership(b, [symbol], b.parse(".*"))
 
 
 def test_pick_witness_is_shortlex_least(alg):

@@ -10,11 +10,12 @@ query that runs out of fuel records ``["FuelExhausted", visited]`` instead,
 and its visited pairs count in the total.  The path-scoped mode runs under
 ``SCOPED_FUEL``, because it blows up on one pair of the ``abc12`` corpus.
 A ``trace`` line per corpus digests the rule events of the default checker
-over the whole corpus, as they would be written as JSON, and counts them:
-two trees that give the same trace lines visit the same pairs in the same
-order and render them alike.  A text joins the members of ``|`` and ``&`` in
-sorted order, so the trace line no longer depends on what the builder
-interned before: a builder change that only shifts eids leaves it as it is.
+over the whole corpus, as they would be written as JSON, counts them, and
+counts each rule's events in ``TRACE_RULES`` order: two trees that give the
+same trace lines visit the same pairs in the same order and render them
+alike.  A text joins the members of ``|`` and ``&`` in sorted order, so the
+trace line no longer depends on what the builder interned before: a builder
+change that only shifts eids leaves it as it is.
 
 A last line per corpus, in the ``shortlex`` column, digests the answers in
 language terms: each outcome is ``[holds, witness]`` with the witness the
@@ -42,7 +43,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from exprgen import C3_CORPORA, c3_corpus  # noqa: E402
-from symre.containment import Checker, FuelExhausted, shortest_word  # noqa: E402
+from symre.containment import TRACE_RULES, Checker, FuelExhausted, shortest_word  # noqa: E402
 
 SCOPED_FUEL = 10_000
 
@@ -82,6 +83,12 @@ def trace_events(name: str) -> list[dict]:
     return events
 
 
+def rule_counts(events: list[dict]) -> tuple:
+    """The number of events of each rule, in ``TRACE_RULES`` order."""
+    rules = [e["rule"] for e in events]
+    return tuple(map(rules.count, TRACE_RULES))
+
+
 def shortlex_outcomes(name: str) -> list:
     """``[holds, shortlex-least witness]`` of each query of corpus ``name``."""
     b, _, pairs = c3_corpus(name)
@@ -113,7 +120,8 @@ def main() -> None:
             print(f"{name:6s} {mode:8s} sha256={sha256(outcomes)} holds={holds} visited={visited}")
     for name in C3_CORPORA:
         events = trace_events(name)
-        print(f"{name:6s} trace    sha256={sha256(events)} events={len(events)}")
+        counts = " ".join(f"{rule}={n}" for rule, n in zip(TRACE_RULES, rule_counts(events)))
+        print(f"{name:6s} trace    sha256={sha256(events)} events={len(events)} {counts}")
     for name in C3_CORPORA:
         outcomes = shortlex_outcomes(name)
         holds = sum(o[0] for o in outcomes)
