@@ -85,13 +85,16 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="bitset:<chars>, unicode, or cofinite (default: unicode)",
     )
-    common.add_argument("--oracle-check", action="store_true",
-                        help="cross-validate the verdict against the slice oracle")
     common.add_argument("--raw-metrics", action="store_true",
                         help="report size/width of each expression as written")
 
+    # the option of the commands that give a verdict
+    verified = argparse.ArgumentParser(add_help=False)
+    verified.add_argument("--oracle-check", action="store_true",
+                          help="cross-validate the verdict against the slice oracle")
+
     # the options of the commands that run a Checker
-    checking = argparse.ArgumentParser(add_help=False)
+    checking = argparse.ArgumentParser(add_help=False, parents=[verified])
     checking.add_argument("--fuel", type=_positive_int, default=DEFAULT_FUEL, metavar="N",
                           help="cap on visited pairs and on each emptiness search's nodes")
     checking.add_argument("--no-axioms", action="store_true",
@@ -113,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", parents=[common, checking], help="decide equivalence")
     p.add_argument("lhs")
     p.add_argument("rhs")
-    p = sub.add_parser("match", parents=[common], help="decide word membership")
+    p = sub.add_parser("match", parents=[common, verified], help="decide word membership")
     p.add_argument("word")
     p.add_argument("expr")
     p = sub.add_parser("derive", parents=[common], help="print a derivative")

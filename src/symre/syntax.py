@@ -6,16 +6,23 @@ equality tests, context lookups and memo tables all run on identity.  The
 constructors apply exactly these language-preserving rewrites:
 
 * union: flattened, sorted, duplicate-free, ``[]`` dropped, literal members
-  merged into a single literal (``a|b`` becomes ``[ab]``);
+  merged into a single literal (``a|b`` becomes ``[ab]``), ``.*`` absorbs,
+  and a member beside its complement is ``.*`` (``r | !r``; when ``r`` is
+  itself a union, all of its members are members: ``a* | c* | !(a*|c*)``);
 * concatenation: ``[]`` annihilates, ``()`` is dropped, spines lean right;
 * star: ``r** = r*``, ``()* = ()``, ``[]* = ()``;
-* intersection: flattened, sorted, duplicate-free, ``[]`` annihilates, and
-  a member beside its complement is ``[]`` (``r & !r``; when ``r`` is itself
-  an intersection, all of its members are members: ``a & c & !(a&c)``);
-* complement: double negation cancels.
+* intersection: flattened, sorted, duplicate-free, ``[]`` annihilates,
+  ``.*`` is dropped (``.* & .*`` is ``.*``), and a member beside its
+  complement is ``[]`` (``r & !r``; when ``r`` is itself an intersection,
+  all of its members are members: ``a & c & !(a&c)``);
+* complement: double negation cancels, ``!([])`` is ``.*`` and ``!(.*)`` is
+  ``[]``.
 
 The empty expression is represented as the empty-class literal ``[]`` and
-the universal language as ``.*``.
+the universal language as ``.*``, the star of the literal of the whole
+alphabet.  A builder knows its ``.*`` node from the moment ``star`` interns
+it; the rules that take ``.*`` as an operand compare against that node, so
+they intern nothing, and only ``r | !r`` and ``!([])`` may intern ``.*``.
 """
 
 from __future__ import annotations
@@ -121,6 +128,7 @@ class ExprBuilder:
         self.partition_cache: dict[tuple, object] = {}
         self.word_cache: dict[int, tuple | None] = {}
         self._bottom = self.literal(algebra.bottom())
+        self._top: Ere | None = None  # the node ``.*``, once ``star`` interns it
 
     def _intern(self, key: tuple, ctor: Callable, *args, nullable: bool) -> Ere:
         node = self._table.get(key)
@@ -147,7 +155,7 @@ class ExprBuilder:
 
     def sigma_star(self) -> Ere:
         """The universal expression ``.*``."""
-        return self.star(self.literal(self.algebra.top()))
+        return self._top or self.star(self.literal(self.algebra.top()))
 
     def union(self, *parts: Ere) -> Ere:
         # One pass flattens, merges the literals and collects the members.
@@ -171,7 +179,10 @@ class ExprBuilder:
             members[lit.eid] = lit
         elif not members:
             return bottom
-        return self._intern_members("union", Union, members, any)
+        top = self._top
+        if top is not None and top.eid in members:
+            return top
+        return self._intern_members("union", Union, members, any) or self.sigma_star()
 
     def concat(self, r: Ere, s: Ere) -> Ere:
         if r is self._bottom or s is self._bottom:
@@ -199,34 +210,46 @@ class ExprBuilder:
             return r
         if isinstance(r, Epsilon) or r is self._bottom:
             return self.epsilon()
-        return self._intern(("star", r.eid), Star, r, nullable=True)
+        node = self._intern(("star", r.eid), Star, r, nullable=True)
+        if self._top is None and type(r) is Literal and r.symbols == self.algebra.top():
+            self._top = node
+        return node
 
     def and_(self, *parts: Ere) -> Ere:
         if not parts:
             raise TypeError("and_() needs at least one operand")
-        bottom = self._bottom
+        bottom, top = self._bottom, self._top
         members: dict[int, Ere] = {}
         for p in parts:
             for m in p.members if type(p) is And else (p,):
                 if m is bottom:
                     return bottom
-                members[m.eid] = m
-        # A member beside its complement: ``X & !X``, or ``x & y & !(x & y)``.
-        for m in members.values():
-            if type(m) is Not:
-                operands = m.inner.members if type(m.inner) is And else (m.inner,)
-                if all(x.eid in members for x in operands):
-                    return bottom
-        return self._intern_members("and", And, members, all)
+                if m is not top:
+                    members[m.eid] = m
+        if not members:  # every part is ``.*``
+            return top
+        return self._intern_members("and", And, members, all) or bottom
 
-    def _intern_members(self, tag: str, ctor: Callable, members: dict, nullable: Callable) -> Ere:
-        """The n-ary node of ``members`` (by eid), or their one member."""
+    def _intern_members(
+        self, tag: str, ctor: Callable, members: dict, nullable: Callable
+    ) -> Ere | None:
+        """The n-ary node of ``members`` (by eid), or their one member, or
+        ``None`` when a member is the complement of another, or of the n-ary
+        node of some of them: ``X | !X``, ``x & y & !(x & y)``.
+
+        Only a node not yet in the table is tested, as no node in the table
+        has a member beside its complement."""
         eids = sorted(members)
         if len(eids) == 1:
             return members[eids[0]]
         key = (tag, tuple(eids))
         node = self._table.get(key)
         if node is None:
+            for m in members.values():
+                if type(m) is Not:
+                    operands = m.inner.members if type(m.inner) is ctor else (m.inner,)
+                    if all(x.eid in members for x in operands):
+                        return None
             ordered = tuple([members[e] for e in eids])
             node = self._intern(key, ctor, ordered, nullable=nullable(m.nullable for m in ordered))
         return node
@@ -234,6 +257,10 @@ class ExprBuilder:
     def not_(self, r: Ere) -> Ere:
         if isinstance(r, Not):
             return r.inner
+        if r is self._bottom:
+            return self.sigma_star()
+        if r is self._top:
+            return self._bottom
         return self._intern(("not", r.eid), Not, r, nullable=not r.nullable)
 
     def parse(self, text: str) -> Ere:

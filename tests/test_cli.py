@@ -254,9 +254,13 @@ def test_oracle_check_needs_small_bitset(capsys):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out and "oracle-check" in err, argv
-    # next and derive cross-check nothing, so any alphabet will do
-    assert run(capsys, "next", "--oracle-check", "a")[:2] == (0, "a\n")
-    assert run(capsys, "derive", "--oracle-check", "--by", "a", "ab")[:2] == (0, "b\n")
+    # next and derive give no verdict to cross-check, so the option is a
+    # usage error there rather than silently ignored
+    for argv in (["next", "--oracle-check", "a"], ["derive", "--oracle-check", "--by", "a", "ab"]):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], *ABC, *argv[1:]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --oracle-check" in capsys.readouterr().err
 
 
 def test_oracle_disagreement_on_membership(capsys, monkeypatch):

@@ -21,7 +21,9 @@ from symre.syntax import (
     width,
 )
 
-from exprgen import random_raw, raw_text
+from symre.oracle import SliceOracle
+
+from exprgen import C3_WEIGHTS, random_raw, raw_text
 
 
 @pytest.fixture
@@ -85,6 +87,63 @@ def test_and_rules(b):
 def test_double_negation(b):
     a = b.char("a")
     assert b.not_(b.not_(a)) is a
+
+
+def test_sigma_star_absorbs_in_union(b):
+    sigma, a, x, y = b.sigma_star(), b.char("a"), b.parse("a*b"), b.parse("!c")
+    assert b.union(sigma, x) is sigma and b.union(x, sigma) is sigma
+    assert b.union(a, x, sigma, y) is sigma
+    assert b.union(b.union(a, x), b.union(y, sigma)) is sigma
+    assert b.parse("a|a*b|.*|!c") is sigma
+    assert b.parse("(a|b|c)*|a*b") is sigma
+
+
+def test_sigma_star_is_neutral_in_and(b):
+    sigma, x, y = b.sigma_star(), b.parse("a*b"), b.parse("!c")
+    assert b.and_(sigma, x) is x and b.and_(x, sigma) is x
+    assert b.and_(x, sigma, y) is b.and_(x, y) is b.and_(b.and_(sigma, y), b.and_(x, sigma))
+    assert b.and_(sigma) is sigma and b.and_(sigma, sigma, sigma) is sigma
+    assert b.parse("a*b&.*&!c") is b.and_(x, y)
+
+
+def test_union_beside_complement_is_sigma_star(b):
+    sigma, a, x, y = b.sigma_star(), b.char("a"), b.parse("a*b"), b.parse("c*")
+    assert b.union(x, b.not_(x)) is sigma and b.union(b.not_(x), x) is sigma
+    assert b.union(y, b.not_(x), a, x) is sigma
+    assert b.union(a, b.not_(a)) is sigma
+    # a union's complement, once all of the union's members are members
+    u = b.union(x, y)
+    assert b.union(u, b.not_(u)) is sigma and b.union(b.not_(u), u) is sigma
+    assert b.union(b.not_(u), y, a, x) is sigma
+    assert b.union(b.not_(u), x) is not sigma
+    # literal members merge first: a|b|!(a|b) holds the literal [ab] itself
+    assert b.union(a, b.char("b"), b.not_(b.parse("a|b"))) is sigma
+    assert b.parse("a*b|(c*|!(a*b|c*))") is sigma
+
+
+def test_complement_of_empty_and_universal(b):
+    sigma = b.sigma_star()
+    assert b.not_(b.bottom()) is sigma and b.not_(sigma) is b.bottom()
+    assert b.parse("!([])") is sigma and b.parse("!(.*)") is b.bottom()
+    assert b.parse("!!([])") is b.bottom() and b.parse("!!(.*)") is sigma
+    assert b.parse("a(!([])&b)") is b.parse("ab")
+
+
+def test_operand_rules_intern_nothing_without_sigma_star():
+    # before ``.*`` is interned, the rules that take it as an operand cannot
+    # fire and must not intern it: each call adds its own node and no other
+    b = ExprBuilder(BitsetAlgebra("abc"))
+    x, y = b.parse("a*b"), b.parse("c*")
+    for make in (lambda: b.union(x, y), lambda: b.and_(x, y), lambda: b.not_(x)):
+        before = len(b._table)
+        node = make()
+        assert len(b._table) == before + 1 and make() is node
+        assert len(b._table) == before + 1
+    top = b.algebra.top()
+    assert not any(type(n) is Star and n.inner.symbols == top for n in b._table.values())
+    # the rules that return ``.*`` intern it, and the builder keeps it
+    assert to_text(b.union(x, b.not_(x))) == ".*"
+    assert b.union(x, b.not_(x)) is b.not_(b.bottom()) is b.sigma_star() is b.parse(".*")
 
 
 def test_canonical_empty_and_universal(b):
@@ -213,8 +272,6 @@ def _raw_slice(raw, symbols, n):
 def test_normalization_preserves_language():
     alg = BitsetAlgebra("ab")
     b = ExprBuilder(alg)
-    from symre.oracle import SliceOracle
-
     oracle = SliceOracle(b, 6)
     rng = random.Random(11)
     raws = [random_raw(rng, alg, 9) for _ in range(300)]
@@ -227,8 +284,40 @@ def test_normalization_preserves_language():
             ("and", ("and", x, y), ("not", ("and", x, y))),
             ("union", ("concat", a, ("and", x, ("not", x))), y),
         ]
+    # the shapes the ``.*`` rules rewrite: .* absorbing in |, neutral in &,
+    # r | !r (r a union too), !([]) and !(.*)
+    sigma = ("star", ("lit", alg.top()))
+    for _ in range(20):
+        x, y = random_raw(rng, alg, 4), random_raw(rng, alg, 4)
+        raws += [
+            ("union", ("union", x, sigma), y),
+            ("and", ("and", sigma, x), y),
+            ("union", ("union", x, y), ("not", x)),
+            ("union", ("union", x, y), ("not", ("union", y, x))),
+            ("concat", x, ("not", ("lit", alg.bottom()))),
+            ("union", ("not", sigma), y),
+        ]
     for raw in raws:
         assert oracle.slice(b.parse(raw_text(raw))) == frozenset(_raw_slice(raw, alg.symbols, 6))
+
+
+def test_normal_forms_do_not_depend_on_when_sigma_star_was_interned():
+    # A fresh builder meets ``.*`` first wherever the expression makes it;
+    # the other has it from the start, so its operand rules can fire on
+    # every call.  Each expression gets one text and one slice on both,
+    # and the slice of the expression as written.
+    alg = BitsetAlgebra("ab")
+    early = ExprBuilder(alg)
+    early.sigma_star()
+    oracle = SliceOracle(early, 5)
+    rng = random.Random(24)
+    for _ in range(2000):
+        raw = random_raw(rng, alg, 10, C3_WEIGHTS)
+        fresh = ExprBuilder(alg)
+        cold, warm = fresh.parse(raw_text(raw)), early.parse(raw_text(raw))
+        assert to_text(cold) == to_text(warm)
+        assert SliceOracle(fresh, 5).slice(cold) == oracle.slice(warm)
+        assert oracle.slice(warm) == frozenset(_raw_slice(raw, alg.symbols, 5))
 
 
 # -- nullable ------------------------------------------------------------------
@@ -249,8 +338,6 @@ def test_nullable_table(b):
 def test_nullable_matches_slice():
     alg = BitsetAlgebra("ab")
     b = ExprBuilder(alg)
-    from symre.oracle import SliceOracle
-
     oracle = SliceOracle(b, 4)
     rng = random.Random(12)
     for _ in range(300):
