@@ -9,8 +9,10 @@ representations are provided here:
 * :class:`IntervalAlgebra` -- sets of codepoints stored as sorted disjoint
   intervals; scales to the full Unicode range.
 * :class:`FiniteCofiniteAlgebra` -- sets stored as an explicit finite set
-  of codepoints plus a finite/cofinite tag; cofinite sets never enumerate
-  the universe.
+  of codepoints, one bit mask per block of ``BLOCK_BITS`` codepoints, plus
+  a finite/cofinite tag; an operation costs time in proportion to the
+  number of non-empty blocks, and cofinite sets never enumerate the
+  universe.
 
 A fourth, regex-valued algebra (symbols are words over an inner alphabet)
 lives in :mod:`symre.regexalg` because it builds on the containment engine.
@@ -365,8 +367,44 @@ class IntervalAlgebra(_CodepointAlgebra):
 # Finite / cofinite sets
 
 
+# Codepoints per block of a finite/cofinite set: bit ``i`` of the word of
+# block ``k`` is codepoint ``k * BLOCK_BITS + i``.
+BLOCK_BITS = 1024
+
+
+def _range_words(ranges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The ``(block, word)`` pairs of inclusive codepoint ``ranges``, which
+    come sorted by low end, so the blocks come out sorted too."""
+    words: dict[int, int] = {}
+    for lo, hi in ranges:
+        while lo <= hi:
+            k, low = divmod(lo, BLOCK_BITS)
+            n = min(hi - lo + 1, BLOCK_BITS - low)
+            words[k] = words.get(k, 0) | ((1 << n) - 1) << low
+            lo += n
+    return tuple(words.items())
+
+
+# Union, intersection and difference of two sets of ``(block, word)`` pairs.
+def _or_words(xs: tuple, ys: tuple) -> tuple[tuple[int, int], ...]:
+    words = dict(xs)
+    for k, w in ys:
+        words[k] = words[k] | w if k in words else w
+    return tuple(sorted(words.items()))
+
+
+def _and_words(xs: tuple, ys: tuple) -> tuple[tuple[int, int], ...]:
+    other = dict(ys)
+    return tuple([(k, v) for k, w in xs if k in other and (v := w & other[k])])
+
+
+def _minus_words(xs: tuple, ys: tuple) -> tuple[tuple[int, int], ...]:
+    other = dict(ys)
+    return tuple([(k, v) for k, w in xs if (v := w & ~other[k] if k in other else w)])
+
+
 # ``members``: the codepoints of a finite set, the excluded ones of a
-# cofinite set.
+# cofinite set, as ``(block, word)`` pairs sorted by block, no word 0.
 class FcSet(namedtuple("FcSet", "algebra cofinite members"), SymbolSet):
     __slots__ = ()
 
@@ -374,25 +412,31 @@ class FcSet(namedtuple("FcSet", "algebra cofinite members"), SymbolSet):
 class FiniteCofiniteAlgebra(_CodepointAlgebra):
     """Explicit finite sets and their complements over a bounded universe.
 
-    The universe bound only matters for ``pick_witness`` on cofinite sets
-    and for canonicalization; no operation ever enumerates the universe.
-    Members are ``int`` codepoints, converted from and to characters only
-    at the boundary (``finite``, ``cofinite``, ``contains``,
-    ``pick_witness``): a class expands to its codepoints with no ``chr``,
-    and an ``int`` above U+00FF is cheaper to make, hash, compare and order
-    than the fresh one-character string ``chr`` returns for it.
-    ``scan_steps`` counts every symbol actually visited by an enumeration
-    and exists purely as instrumentation.
+    A set stores the smaller of its denotation and its complement as
+    blocked bit masks: for each block of ``BLOCK_BITS`` codepoints that
+    holds any of them, one ``int`` word whose bits are the block's stored
+    codepoints, so a CJK class is 21 words and a set of two astral
+    codepoints one word per block.  A union, an intersection or a
+    complement costs time in proportion to the number of non-empty blocks
+    of its operands, never to the number of codepoints, and the tag's
+    size is the words' ``int.bit_count``.  Only a tag flip walks the
+    universe, one word per block.  Members are converted from and to
+    characters only at the boundary (``finite``, ``cofinite``,
+    ``contains``, ``pick_witness``).
+
+    ``scan_steps`` counts the symbols a one-by-one enumeration would
+    visit, as instrumentation only: a class adds its codepoints, a tag flip
+    adds the universe size, and a cofinite witness adds its index in the
+    universe plus one.
 
     The algebra pays for each distinct set and operation once: ``_memo``
     interns every set, so equal denotations are one object, and maps each
-    class (by its clipped ranges and negation), each ``union`` and
-    ``intersect`` (by operands) and each finite-set witness to its result.
-    It is a plain dict that lives as long as the algebra, like the
-    builder's memos, and like the builder the algebra is not thread-safe.
-    A set of another algebra never equals a key, so it misses the memo and
-    ``_own`` rejects it; an over-limit class raises on every call and is
-    never stored.
+    class (by its clipped ranges and negation) and each ``union`` and
+    ``intersect`` (by operands) to its result.  It is a plain dict that
+    lives as long as the algebra, like the builder's memos, and like the
+    builder the algebra is not thread-safe.  A set of another algebra
+    never equals a key, so it misses the memo and ``_own`` rejects it; an
+    over-limit class raises on every call and is never stored.
     """
 
     def __init__(self, min_codepoint: int = 0, max_codepoint: int = MAX_CODEPOINT):
@@ -401,37 +445,33 @@ class FiniteCofiniteAlgebra(_CodepointAlgebra):
         self.scan_steps = 0
         self._memo: dict = {}
 
-    def _make(self, cofinite: bool, members: frozenset[int]) -> FcSet:
+    def _make(self, cofinite: bool, members: tuple) -> FcSet:
         # Canonical tag: the explicitly stored part is the smaller of the
-        # set and its complement; ties resolve to the finite tag.
-        explicit = len(members)
-        denoted = self.size - explicit if cofinite else explicit
-        if cofinite and denoted <= explicit:
-            cofinite, members = False, self._enumerate_complement(members)
-        elif not cofinite and self.size - denoted < denoted:
-            cofinite, members = True, self._enumerate_complement(members)
+        # set and its complement; ties resolve to the finite tag.  Words too
+        # few to hold half the universe need no count.
+        if 2 * BLOCK_BITS * len(members) >= self.size:
+            explicit = sum([w.bit_count() for _, w in members])
+            denoted = self.size - explicit if cofinite else explicit
+            if cofinite and denoted <= explicit or not cofinite and self.size - denoted < denoted:
+                self.scan_steps += self.size
+                universe = _range_words(((self.min_codepoint, self.max_codepoint),))
+                cofinite, members = not cofinite, _minus_words(universe, members)
         s = FcSet(self, cofinite, members)
         return self._memo.setdefault(s, s)
 
-    def _enumerate_complement(self, members: frozenset[int]) -> frozenset[int]:
-        points = sorted((cp, cp) for cp in members)
-        out = [cp for lo, hi in _gaps(self, points) for cp in range(lo, hi + 1)]
-        self.scan_steps += len(out) + len(members)
-        return frozenset(out)
-
-    def _symbols(self, chars: Iterable[str]) -> frozenset[int]:
+    def _symbols(self, chars: Iterable[str]) -> tuple:
         members = frozenset(chars)
         top = self.top()
         for c in members:
             if not self.contains(top, c):
                 raise AlgebraError(f"symbol {c!r} is not in the alphabet")
-        return frozenset(map(ord, members))
+        return _range_words((cp, cp) for cp in sorted(map(ord, members)))
 
     def bottom(self) -> FcSet:
-        return self._make(False, frozenset())
+        return self._make(False, ())
 
     def top(self) -> FcSet:
-        return self._make(True, frozenset())
+        return self._make(True, ())
 
     def finite(self, chars: Iterable[str]) -> FcSet:
         return self._make(False, self._symbols(chars))
@@ -445,13 +485,13 @@ class FiniteCofiniteAlgebra(_CodepointAlgebra):
         if out is None:
             self._own(a, b)
             if a.cofinite and b.cofinite:
-                out = self._make(True, a.members & b.members)
+                out = self._make(True, _and_words(a.members, b.members))
             elif a.cofinite:
-                out = self._make(True, a.members - b.members)
+                out = self._make(True, _minus_words(a.members, b.members))
             elif b.cofinite:
-                out = self._make(True, b.members - a.members)
+                out = self._make(True, _minus_words(b.members, a.members))
             else:
-                out = self._make(False, a.members | b.members)
+                out = self._make(False, _or_words(a.members, b.members))
             self._memo[key] = out
         return out
 
@@ -461,13 +501,13 @@ class FiniteCofiniteAlgebra(_CodepointAlgebra):
         if out is None:
             self._own(a, b)
             if a.cofinite and b.cofinite:
-                out = self._make(True, a.members | b.members)
+                out = self._make(True, _or_words(a.members, b.members))
             elif a.cofinite:
-                out = self._make(False, b.members - a.members)
+                out = self._make(False, _minus_words(b.members, a.members))
             elif b.cofinite:
-                out = self._make(False, a.members - b.members)
+                out = self._make(False, _minus_words(a.members, b.members))
             else:
-                out = self._make(False, a.members & b.members)
+                out = self._make(False, _and_words(a.members, b.members))
             self._memo[key] = out
         return out
 
@@ -482,26 +522,38 @@ class FiniteCofiniteAlgebra(_CodepointAlgebra):
     def contains(self, a: FcSet, symbol: str) -> bool:
         self._own(a)
         cp = self._codepoint(symbol)
-        return self.min_codepoint <= cp <= self.max_codepoint and (cp in a.members) != a.cofinite
+        if not self.min_codepoint <= cp <= self.max_codepoint:
+            return False
+        k, i = divmod(cp, BLOCK_BITS)
+        for block, w in a.members:
+            if block >= k:
+                return (block == k and w >> i & 1 == 1) != a.cofinite
+        return a.cofinite
 
     def pick_witness(self, a: FcSet) -> str:
         self._own(a)
         if self.is_empty(a):
             raise AlgebraError("cannot pick a witness from the empty set")
         if not a.cofinite:
-            key = ("min", a)
-            out = self._memo.get(key)
-            if out is None:
-                out = self._memo[key] = chr(min(a.members))
-            return out
-        for cp in range(self.min_codepoint, self.max_codepoint + 1):
-            self.scan_steps += 1
-            if cp not in a.members:
-                return chr(cp)
-        raise AlgebraError("cofinite set with no witness")  # unreachable: canonical
+            k, w = a.members[0]
+            return chr(k * BLOCK_BITS + (w & -w).bit_length() - 1)
+        # The lowest clear bit at or above min_codepoint; a canonical
+        # cofinite set has one in the universe.
+        cp = self.min_codepoint
+        for k, w in a.members:
+            i = cp - k * BLOCK_BITS
+            if i < 0:  # block k starts above cp, which is clear
+                break
+            free = ~w >> i
+            cp += (free & -free).bit_length() - 1
+            if cp < (k + 1) * BLOCK_BITS:
+                break
+        self.scan_steps += cp - self.min_codepoint + 1
+        return chr(cp)
 
-    # Character classes are expanded to explicit symbols, so huge ranges are
-    # rejected rather than silently materialized.
+    # A class of more than this many codepoints is refused with an
+    # AlgebraError.  Blocked words would hold it cheaply; the limit is kept
+    # as the algebra's error contract for huge classes.
     CLASS_EXPANSION_LIMIT = 1 << 16
 
     def class_set(self, items: Sequence[tuple[int, int]], negate: bool) -> FcSet:
@@ -515,10 +567,23 @@ class FiniteCofiniteAlgebra(_CodepointAlgebra):
                     "character class too large for the finite/cofinite algebra"
                 )
             self.scan_steps += total
-            points = frozenset().union(*(range(lo, hi + 1) for lo, hi in ivs))
-            out = self._memo[key] = self._make(negate, points)
+            out = self._memo[key] = self._make(negate, _range_words(ivs))
         return out
 
     def _class_items(self, a: FcSet) -> tuple[bool, tuple[tuple[int, int], ...]]:
-        # The stored part as it is, so rendering never enumerates a complement.
-        return a.cofinite, merge_intervals((cp, cp) for cp in a.members)
+        # The stored part as it is, so rendering never enumerates a
+        # complement: each run of set bits is a range, fused across blocks.
+        out: list[tuple[int, int]] = []
+        for k, w in a.members:
+            base = k * BLOCK_BITS
+            while w:
+                low = (w & -w).bit_length() - 1
+                run = w >> low
+                n = ((run + 1) & -(run + 1)).bit_length() - 1
+                lo, hi = base + low, base + low + n - 1
+                if out and out[-1][1] + 1 == lo:
+                    out[-1] = (out[-1][0], hi)
+                else:
+                    out.append((lo, hi))
+                w = run >> n << (low + n)
+        return a.cofinite, tuple(out)

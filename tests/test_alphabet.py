@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from symre.alphabet import (
+    BLOCK_BITS,
     AlgebraError,
     BitsetAlgebra,
     FiniteCofiniteAlgebra,
     IntervalAlgebra,
     merge_intervals,
 )
-from symre.containment import membership
+from symre.containment import Checker, membership
 from symre.syntax import ExprBuilder, parse_class_text
 
 BITS = BitsetAlgebra("abcdefgh")
@@ -91,9 +92,9 @@ def test_bottom_and_top():
 def test_set_op_examples():
     abc = BitsetAlgebra("abc")
     assert abc.members(abc.intersect(abc.from_chars("ab"), abc.from_chars("bc"))) == ("b",)
-    # finite/cofinite members are codepoints; witnesses are still characters
+    # witnesses of finite/cofinite sets are characters
     inv = FC.complement(FC.finite("a"))
-    assert inv.cofinite and inv.members == frozenset(map(ord, "a"))
+    assert inv.cofinite and inv is FC.cofinite("a")
     assert FC.pick_witness(FC.finite("ca")) == "a" and FC.pick_witness(inv) == "b"
     assert FC.is_empty(abc_empty := FC.intersect(FC.finite("a"), FC.finite("b")))
     assert abc.is_subset(abc.from_chars("b"), abc.from_chars("abc"))
@@ -162,13 +163,13 @@ def test_pick_witness_examples():
 def test_finite_cofinite_canonical_tag():
     small = FiniteCofiniteAlgebra(ord("a"), ord("d"))
     flipped = small.finite("abc")
-    assert flipped.cofinite and flipped.members == frozenset(map(ord, "d"))
+    assert flipped.cofinite and flipped is small.cofinite("d")
     assert small.is_equal(flipped, small.complement(small.finite("d")))
     # ties resolve to the finite tag
     half = small.finite("ab")
     assert not half.cofinite
     comp = small.complement(half)
-    assert not comp.cofinite and comp.members == frozenset(map(ord, "cd"))
+    assert not comp.cofinite and comp is small.finite("cd")
 
 
 def test_cofinite_never_enumerates_universe():
@@ -333,6 +334,134 @@ def test_a_class_is_expanded_once_per_algebra():
     fresh = FiniteCofiniteAlgebra()
     assert parse_class_text("[\\u{4e00}-\\u{9fff}]", fresh) != cjk
     assert fresh.scan_steps == 20992
+
+
+def _random_items(rng, lo, hi):
+    """One to four codepoint ranges near ``lo..hi``: some cross a multiple of
+    ``BLOCK_BITS``, some reach past the universe, and some are wide enough
+    that a few of them hold half of it (but never 16000 codepoints)."""
+    items = []
+    for _ in range(rng.randrange(1, 5)):
+        roll = rng.random()
+        if roll < 0.4:
+            edge = rng.randrange(lo // BLOCK_BITS, hi // BLOCK_BITS + 2) * BLOCK_BITS
+            start, end = edge - rng.randrange(1, 40), edge + rng.randrange(40)
+        elif roll < 0.5:
+            start, end = hi - rng.randrange(40), hi + rng.randrange(3)
+        else:
+            start = rng.randrange(lo - 2, hi + 1)
+            end = start + rng.randrange(3 if roll < 0.75 else min(16000, (hi - lo) // 3))
+        items.append((max(start, 0), min(end, 0x10FFFF)))
+    return items
+
+
+def _edges(intervals):
+    for lo, hi in intervals:
+        for cp in (lo - 1, lo, lo + 1, hi - 1, hi, hi + 1):
+            if 0 <= cp <= 0x10FFFF:
+                yield chr(cp)
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 0x10FFFF), (0x4E00, 0x9FFF), (0x3E5, 0x2A11)])
+def test_blocked_sets_agree_with_intervals(lo, hi):
+    # Differential: the same union/intersect/complement chains over both
+    # codepoint algebras, whose set operations share no code.
+    rng = random.Random(lo + hi)
+    for _ in range(40):
+        fc, iv = FiniteCofiniteAlgebra(lo, hi), IntervalAlgebra(lo, hi)
+        pool, items = [], []
+        for _ in range(4):
+            ranges, negate = _random_items(rng, lo, hi), rng.random() < 0.4
+            pool.append((fc.class_set(ranges, negate), iv.class_set(ranges, negate)))
+            items.extend(ranges)
+        for _ in range(30):
+            roll = rng.random()
+            (x, x2), (y, y2) = rng.choice(pool), rng.choice(pool)
+            if roll < 0.4:
+                pool.append((fc.union(x, y), iv.union(x2, y2)))
+            elif roll < 0.8:
+                pool.append((fc.intersect(x, y), iv.intersect(x2, y2)))
+            else:
+                pool.append((fc.complement(x), iv.complement(x2)))
+        probes = set(_edges(items))
+        for x, x2 in pool:
+            assert fc.is_empty(x) == iv.is_empty(x2)
+            # the canonical tag: the stored side is the smaller, ties finite
+            denoted = sum(b - a + 1 for a, b in x2.intervals)
+            assert x.cofinite == (2 * denoted > fc.size)
+            if not iv.is_empty(x2):
+                assert fc.pick_witness(x) == iv.pick_witness(x2)
+            y, y2 = rng.choice(pool)
+            assert fc.is_subset(x, y) == iv.is_subset(x2, y2)
+            for c in probes.union(_edges(x2.intervals)):
+                assert fc.contains(x, c) == iv.contains(x2, c), hex(ord(c))
+            # the rendering lists the runs of the stored side, which may
+            # differ from the interval algebra's choice of side
+            stored = iv.complement(x2) if x.cofinite else x2
+            assert fc._class_items(x) == (x.cofinite, stored.intervals)
+            assert parse_class_text(fc.format_set(x), iv) == x2
+
+
+def test_tag_flips_in_a_four_symbol_universe():
+    # every set of a..d, through every operation, against the interval twin
+    fc, iv = FiniteCofiniteAlgebra(ord("a"), ord("d")), IntervalAlgebra(ord("a"), ord("d"))
+    subsets = ["".join(c for i, c in enumerate("abcd") if mask >> i & 1) for mask in range(16)]
+    pairs = [(fc.finite(s), iv.class_set([(ord(c), ord(c)) for c in s], False)) for s in subsets]
+    for x, x2 in pairs:
+        # the stored part is the smaller side, ties finite
+        size = sum(fc.contains(x, c) for c in "abcd")
+        assert x.cofinite == (size > 2)
+        assert fc.complement(x).cofinite == (size < 2)
+        for y, y2 in pairs:
+            for got, want in (
+                (fc.union(x, y), iv.union(x2, y2)),
+                (fc.intersect(x, y), iv.intersect(x2, y2)),
+                (fc.complement(x), iv.complement(x2)),
+            ):
+                assert [fc.contains(got, c) for c in "`abcde"] == [
+                    iv.contains(want, c) for c in "`abcde"
+                ]
+                assert fc.is_empty(got) == iv.is_empty(want)
+                assert parse_class_text(fc.format_set(got), iv) == want
+                if not iv.is_empty(want):
+                    assert fc.pick_witness(got) == iv.pick_witness(want)
+    # a tag flip adds the universe size to scan_steps, a cofinite witness
+    # its index plus one
+    small = FiniteCofiniteAlgebra(ord("a"), ord("d"))
+    small.finite("abc")
+    assert small.scan_steps == 4
+    assert small.pick_witness(small.cofinite("a")) == "b" and small.scan_steps == 4 + 2
+
+
+def test_blocked_words_are_compact():
+    alg = FiniteCofiniteAlgebra()
+    assert len(parse_class_text("[\\u{4e00}-\\u{9fff}]", alg).members) == 21
+    assert len(parse_class_text("[a\\u{10ffff}]", alg).members) == 2
+    not_last = parse_class_text("[^\\u{10ffff}]", alg)
+    assert not_last.cofinite and len(not_last.members) == 1
+    # and the witness of a cofinite set steps over a full word
+    full = alg.class_set([(0, BLOCK_BITS - 1), (BLOCK_BITS + 1, BLOCK_BITS + 1)], True)
+    assert alg.pick_witness(full) == chr(BLOCK_BITS)
+
+
+ASTRAL_QUERIES = [
+    ("[\\u{10fff0}-\\u{10ffff}]*", "[\\u{10fff0}-\\u{10fffe}]*"),
+    ("[\\u{1f600}-\\u{1f64f}a-z]*&!(.*\\u{1f600}.*)", "[\\u{1f601}-\\u{1f64f}a-z]*"),
+    ("[^\\u{10ffff}]*x", ".*[^\\u{10fffe}]"),
+    ("(\\u{10ffff}|a)*b", "[^c]*"),
+    ("[\\u{1f600}-\\u{1f64f}]+", "[\\u{1f600}-\\u{1f64f}]*"),
+    ("(.*[\\u{1f600}-\\u{1f64f}].*)&[a-z\\u{1f600}-\\u{1f64f}]*", "[a-z]*[\\u{1f600}-\\u{1f64f}].*"),
+]
+
+
+@pytest.mark.parametrize("lhs, rhs", ASTRAL_QUERIES)
+def test_astral_queries_agree_across_codepoint_algebras(lhs, rhs):
+    verdicts = []
+    for alg in (IntervalAlgebra(), FiniteCofiniteAlgebra()):
+        b = ExprBuilder(alg)
+        v = Checker(b).check(b.parse(lhs), b.parse(rhs))
+        verdicts.append((v.holds, v.witness))
+    assert verdicts[0] == verdicts[1]
 
 
 def test_merge_intervals():
