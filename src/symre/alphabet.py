@@ -435,8 +435,9 @@ class FiniteCofiniteAlgebra(_CodepointAlgebra):
     ``intersect`` (by operands) to its result.  It is a plain dict that
     lives as long as the algebra, like the builder's memos, and like the
     builder the algebra is not thread-safe.  A set of another algebra
-    never equals a key, so it misses the memo and ``_own`` rejects it; an
-    over-limit class raises on every call and is never stored.
+    never equals a key, so it misses the memo and ``_own`` rejects it.
+    There is no limit on a class: the full range is one word per block,
+    and is stored as the empty cofinite set.
     """
 
     def __init__(self, min_codepoint: int = 0, max_codepoint: int = MAX_CODEPOINT):
@@ -551,22 +552,13 @@ class FiniteCofiniteAlgebra(_CodepointAlgebra):
         self.scan_steps += cp - self.min_codepoint + 1
         return chr(cp)
 
-    # A class of more than this many codepoints is refused with an
-    # AlgebraError.  Blocked words would hold it cheaply; the limit is kept
-    # as the algebra's error contract for huge classes.
-    CLASS_EXPANSION_LIMIT = 1 << 16
-
     def class_set(self, items: Sequence[tuple[int, int]], negate: bool) -> FcSet:
+        # Any class is accepted: a block of ``BLOCK_BITS`` codepoints is one word.
         ivs = _clip(self, items)
         key = ("[]", ivs, negate)
         out = self._memo.get(key)
         if out is None:
-            total = sum(hi - lo + 1 for lo, hi in ivs)
-            if total > self.CLASS_EXPANSION_LIMIT:
-                raise AlgebraError(
-                    "character class too large for the finite/cofinite algebra"
-                )
-            self.scan_steps += total
+            self.scan_steps += sum(hi - lo + 1 for lo, hi in ivs)
             out = self._memo[key] = self._make(negate, _range_words(ivs))
         return out
 

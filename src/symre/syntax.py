@@ -27,6 +27,7 @@ they intern nothing, and only ``r | !r`` and ``!([])`` may intern ``.*``.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable
 
 from .alphabet import Algebra, AlgebraError, SymbolSet
@@ -84,9 +85,9 @@ class Concat(Ere):
     __slots__ = ("head", "tail")
 
     def __init__(self, eid: int, nullable: bool, head: Ere, tail: Ere):
-        super().__init__(eid, nullable)
-        self.head = head
-        self.tail = tail
+        # The fields are set here, not through ``Ere.__init__``: a word
+        # makes one Concat per symbol.
+        self.eid, self.nullable, self.head, self.tail = eid, nullable, head, tail
 
 
 class Star(_Unary):
@@ -112,8 +113,7 @@ class ExprBuilder:
 
     def __init__(self, algebra: Algebra):
         self.algebra = algebra
-        self._table: dict[tuple, Ere] = {}
-        self._next_id = 0
+        self._table: dict[tuple, Ere] = {}  # a node's eid is its index here
         # Memo tables used by the derivative, next-literal and emptiness
         # operations.  ``next_cache`` maps an eid to its next-literal
         # partition, and ``lead_cache`` to its leading literals and coverage,
@@ -133,9 +133,7 @@ class ExprBuilder:
     def _intern(self, key: tuple, ctor: Callable, *args, nullable: bool) -> Ere:
         node = self._table.get(key)
         if node is None:
-            node = ctor(self._next_id, nullable, *args)
-            self._next_id += 1
-            self._table[key] = node
+            node = self._table[key] = ctor(len(self._table), nullable, *args)
         return node
 
     def epsilon(self) -> Ere:
@@ -185,32 +183,37 @@ class ExprBuilder:
         return self._intern_members("union", Union, members, any) or self.sigma_star()
 
     def concat(self, r: Ere, s: Ere) -> Ere:
-        if r is self._bottom or s is self._bottom:
-            return self._bottom
-        if isinstance(r, Epsilon):
+        bottom = self._bottom
+        if r is bottom or s is bottom:
+            return bottom
+        if type(r) is Epsilon:
             return s
-        if isinstance(s, Epsilon):
+        if type(s) is Epsilon:
             return r
-        if isinstance(r, Concat):
+        if type(r) is Concat:
             # Re-associate along r's spine, innermost first; no spine member
             # is ``()``, ``[]`` or a Concat, so each call below interns at once.
             heads = []
-            while isinstance(r, Concat):
+            while type(r) is Concat:
                 heads.append(r.head)
                 r = r.tail
             s = self.concat(r, s)
             while heads:
                 s = self.concat(heads.pop(), s)
             return s
-        key = ("cat", r.eid, s.eid)
-        return self._intern(key, Concat, r, s, nullable=r.nullable and s.nullable)
+        table, key = self._table, ("cat", r.eid, s.eid)
+        node = table.get(key)
+        if node is None:
+            node = table[key] = Concat(len(table), r.nullable and s.nullable, r, s)
+        return node
 
     def star(self, r: Ere) -> Ere:
-        if isinstance(r, Star):
+        if type(r) is Star:
             return r
-        if isinstance(r, Epsilon) or r is self._bottom:
+        if type(r) is Epsilon or r is self._bottom:
             return self.epsilon()
-        node = self._intern(("star", r.eid), Star, r, nullable=True)
+        key = ("star", r.eid)
+        node = self._table.get(key) or self._intern(key, Star, r, nullable=True)
         if self._top is None and type(r) is Literal and r.symbols == self.algebra.top():
             self._top = node
         return node
@@ -255,13 +258,14 @@ class ExprBuilder:
         return node
 
     def not_(self, r: Ere) -> Ere:
-        if isinstance(r, Not):
+        if type(r) is Not:
             return r.inner
         if r is self._bottom:
             return self.sigma_star()
         if r is self._top:
             return self._bottom
-        return self._intern(("not", r.eid), Not, r, nullable=not r.nullable)
+        key = ("not", r.eid)
+        return self._table.get(key) or self._intern(key, Not, r, nullable=not r.nullable)
 
     def parse(self, text: str) -> Ere:
         """The node of ``text`` in the concrete syntax."""
@@ -303,23 +307,26 @@ def width(r: Ere) -> int:
 #
 # '()' is the empty word, '[]' the empty set, '.' the full alphabet.
 # Postfix '*' binds tightest, then prefix '!', then juxtaposition, then
-# '&', then '|'; so  !a*  is  !(a*)  and  a|b&c  is  a|(b&c).
+# '&', then '|'; so  !a*  is  !(a*)  and  a|b&c  is  a|(b&c).  There is no
+# counted repetition: '{' is a character like any other.
 #
 # The parser calls the builder's constructors as it reads, so text becomes
 # interned nodes in one pass: the operands of a '|' or '&' chain go to one
-# n-ary call, and a concatenation's factors are folded from the right.  A
-# plain character (a bare char atom, not a backslash escape, with no '*'
-# after it) is read by ``_cat``'s own loop, without the descent through
-# ``factor`` and ``atom``; and one parse makes one literal node per distinct
-# character, so a word costs about one dict lookup per symbol besides its
-# concatenation node.  The parser also counts the atoms, stars and bangs,
-# for the size and width of the expression as written.
+# n-ary call, and a concatenation's factors are folded from the right.  It
+# is one loop over the text by index, with no token stream and no
+# recursion: each open parenthesis keeps the enclosing chains on a list.
+# A run of plain characters (bare char atoms, not backslash escapes, the
+# last with no '*' after it) is one match of ``_RUN``.  One parse makes one
+# literal node per distinct character, so a word costs about one dict
+# lookup per symbol besides its concatenation node.  A character whose set
+# is empty, one outside a finite alphabet, is a parse error, found when its
+# literal is made.  The parser also counts the atoms, stars and bangs, for
+# the size and width of the expression as written.
 
 
-# The deepest parenthesis nesting the parser accepts.  Each level costs the
-# recursive-descent parser five Python frames (``_alt``, ``_and``, ``_cat``,
-# ``_factor`` and ``_atom``), so this keeps a parse well inside the
-# interpreter's default recursion limit.
+# The deepest parenthesis nesting the parser accepts.  The parser itself
+# does not recurse; the limit bounds how deep the nodes of a text nest, for
+# the engine's passes that recurse over a node's parts.
 MAX_NESTING = 100
 
 
@@ -331,8 +338,14 @@ class ParseError(ValueError):
         self.position = position
 
 
-_ATOM_STOP = set("|&)*]")  # tokens that cannot start an atom, so end a concatenation
-_ATOM_OPEN = set("(![.\\")  # other tokens that are not a plain character
+# Tokens that cannot start an atom, so end a concatenation, and the other
+# tokens that are not a plain character.  As strings both also hold "",
+# the slice of the text at its end.
+_ATOM_STOP = "|&)*]"
+_ATOM_OPEN = "(![.\\"
+# A run of plain characters: none of the tokens above, and no '*' after the
+# last, as a '*' binds to that one alone.
+_RUN = re.compile(r"[^|&)*\]!(\[.\\]+(?!\*)")
 
 
 def _char_set(algebra: Algebra, c: str) -> SymbolSet:
@@ -340,63 +353,40 @@ def _char_set(algebra: Algebra, c: str) -> SymbolSet:
     return algebra.class_set([(ord(c), ord(c))], False)
 
 
-class _Scanner:
-    def __init__(self, text: str, algebra: Algebra, builder: ExprBuilder | None = None):
-        self.text = text
-        self.pos = 0
-        self.algebra = algebra
-        self.builder = builder
-        self.depth = 0  # open parentheses around the current position
-        self.lits: dict[str, Ere] = {}  # character -> its literal node
-        # Atoms and unary operators read so far, for the as-written metrics.
-        self.literals = self.epsilons = self.unary = 0
+def _char(text: str, pos: int) -> tuple[str, int]:
+    """The character at ``pos``, or the escape sequence it starts (``\\c`` is
+    ``c`` and ``\\u{hex}`` is that codepoint), and the position after it."""
+    if text[pos] != "\\":
+        return text[pos], pos + 1
+    pos += 1
+    if pos == len(text):
+        raise ParseError("unexpected end of input", pos)
+    if text[pos] != "u":
+        return text[pos], pos + 1
+    if not text.startswith("{", pos + 1):
+        raise ParseError("expected '{'", pos + 1)
+    start = pos + 2
+    close = text.find("}", start)
+    if close <= start:  # no '}', or no digits before it
+        where = start if close == start else len(text)
+        raise ParseError("expected hex digits and '}' after \\u{", where)
+    digits = text[start:close]
+    try:
+        cp = int(digits, 16)
+    except ValueError:
+        raise ParseError(f"bad hex escape {digits!r}", start) from None
+    if cp > 0x10FFFF:
+        raise ParseError(f"codepoint {digits} out of range", start)
+    return chr(cp), close + 1
 
-    def char_literal(self, c: str) -> Ere:
-        """The literal node of ``c``, made once per parse and then shared."""
-        lit = self.lits.get(c)
-        if lit is None:
-            lit = self.lits[c] = self.builder.literal(_char_set(self.algebra, c))
-        return lit
 
-    def peek(self) -> str | None:
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def take(self) -> str:
-        c = self.peek()
-        if c is None:
-            raise ParseError("unexpected end of input", self.pos)
-        self.pos += 1
-        return c
-
-    def expect(self, c: str) -> None:
-        if self.peek() != c:
-            raise ParseError(f"expected {c!r}", self.pos)
-        self.pos += 1
-
-    def char(self) -> str:
-        """Take one character, or the escape sequence it starts: ``\\c`` is
-        ``c`` and ``\\u{hex}`` is that codepoint."""
-        c = self.take()
-        if c != "\\":
-            return c
-        c = self.take()
-        if c != "u":
-            return c
-        self.expect("{")
-        start = self.pos
-        while self.peek() not in (None, "}"):
-            self.pos += 1
-        if self.peek() != "}" or self.pos == start:
-            raise ParseError("expected hex digits and '}' after \\u{", self.pos)
-        digits = self.text[start : self.pos]
-        self.pos += 1
-        try:
-            cp = int(digits, 16)
-        except ValueError:
-            raise ParseError(f"bad hex escape {digits!r}", start) from None
-        if cp > 0x10FFFF:
-            raise ParseError(f"codepoint {digits} out of range", start)
-        return chr(cp)
+def _char_literal(b: ExprBuilder, lits: dict[str, Ere], c: str, pos: int) -> Ere:
+    """The literal node of ``c``, read at ``pos``: made on its first read in
+    a parse and then shared through ``lits``."""
+    lit = lits[c] = b.literal(_char_set(b.algebra, c))
+    if lit is b.bottom():
+        raise ParseError(f"symbol {c!r} is not in the alphabet", pos)
+    return lit
 
 
 def parse_with_metrics(text: str, builder: ExprBuilder) -> tuple[Ere, int, int]:
@@ -407,148 +397,138 @@ def parse_with_metrics(text: str, builder: ExprBuilder) -> tuple[Ere, int, int]:
     number of leaves (literal and ``()`` atoms), less one, plus the number
     of ``*`` and ``!``.
     """
-    sc = _Scanner(text, builder.algebra, builder)
-    node = _alt(sc)
-    if sc.peek() is not None:
-        raise ParseError(f"unexpected {sc.peek()!r}", sc.pos)
-    return node, 2 * (sc.literals + sc.epsilons) - 1 + sc.unary, sc.literals
+    b, lits = builder, {}
+    literals = epsilons = unary = 0
+    # The '|' operands, the current '&' chain's operands and the current
+    # concatenation's factors, and those of each open parenthesis, with
+    # the '!'s before it.
+    alts, ands, factors, groups = [], [], [], []
+    pos = 0
+    while True:
+        # One operand: a run of plain characters, or '!'s and an atom.  An
+        # open parenthesis puts the chains aside and starts its own.
+        node = None
+        c = text[pos : pos + 1]
+        if c not in _ATOM_OPEN and (m := _RUN.match(text, pos)):
+            run = m.group()
+            for c in run:
+                if c not in lits:
+                    _char_literal(b, lits, c, pos + run.index(c))
+            literals += len(run)
+            factors += map(lits.__getitem__, run)
+            pos = m.end()
+        else:
+            start = pos
+            while text.startswith("!", pos):
+                pos += 1
+            bangs = pos - start
+            c = text[pos : pos + 1]
+            if c in _ATOM_STOP:
+                raise ParseError("expected an expression atom", pos)
+            if c == "(":
+                if len(groups) == MAX_NESTING:
+                    raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+                if not text.startswith(")", pos + 1):
+                    groups.append((alts, ands, factors, bangs))
+                    alts, ands, factors = [], [], []
+                    pos += 1
+                    continue
+                epsilons += 1
+                node, pos = b.epsilon(), pos + 2
+            elif c in "[.":
+                literals += 1
+                symbols, pos = _set_atom(text, pos, b.algebra)
+                node = b.literal(symbols)
+            else:
+                literals += 1
+                c, after = _char(text, pos)
+                node = lits.get(c) or _char_literal(b, lits, c, pos)
+                pos = after
+        # An atom takes its stars, then its bangs.  A token that is no
+        # operand ends the concatenation, and a ')' also ends its group,
+        # whose node is then the atom.
+        while True:
+            if node is not None:
+                stars = pos
+                while text.startswith("*", pos):
+                    pos += 1
+                    node = b.star(node)
+                unary += pos - stars + bangs
+                for _ in range(bangs):
+                    node = b.not_(node)
+                factors.append(node)
+            c = text[pos : pos + 1]
+            if c not in _ATOM_STOP:
+                break
+            node, concat = factors.pop(), b.concat
+            for factor in reversed(factors):
+                node = concat(factor, node)
+            ands.append(node)
+            if c != "&":
+                alts.append(b.and_(*ands) if len(ands) > 1 else ands[0])
+                ands = []
+            if c in ("|", "&"):
+                factors = []
+                pos += 1
+                break
+            node = b.union(*alts) if len(alts) > 1 else alts[0]
+            if not groups:
+                if c:
+                    raise ParseError(f"unexpected {c!r}", pos)
+                return node, 2 * (literals + epsilons) - 1 + unary, literals
+            if c != ")":
+                raise ParseError("expected ')'", pos)
+            alts, ands, factors, bangs = groups.pop()
+            pos += 1
 
 
 def parse_class_text(text: str, algebra: Algebra) -> SymbolSet:
     """Parse a standalone symbol set: a ``[...]`` class, ``.``, or one char."""
-    sc = _Scanner(text, algebra)
-    if sc.peek() is None:
+    if not text:
         raise ParseError("expected a character class", 0)
-    out = _set_atom(sc)
-    if sc.peek() is not None:
-        raise ParseError(f"unexpected {sc.peek()!r} after class", sc.pos)
+    out, pos = _set_atom(text, 0, algebra)
+    if pos < len(text):
+        raise ParseError(f"unexpected {text[pos]!r} after class", pos)
     return out
 
 
 def unescape_word(text: str) -> str:
     """Decode backslash escapes in a plain word (CLI ``match`` input)."""
-    sc = _Scanner(text, None)  # type: ignore[arg-type]
-    out = []
-    while sc.peek() is not None:
-        out.append(sc.char())
+    out, pos = [], 0
+    while pos < len(text):
+        c, pos = _char(text, pos)
+        out.append(c)
     return "".join(out)
 
 
-def _alt(sc: _Scanner) -> Ere:
-    parts = [_and(sc)]
-    while sc.peek() == "|":
-        sc.take()
-        parts.append(_and(sc))
-    return sc.builder.union(*parts) if len(parts) > 1 else parts[0]
-
-
-def _and(sc: _Scanner) -> Ere:
-    parts = [_cat(sc)]
-    while sc.peek() == "&":
-        sc.take()
-        parts.append(_cat(sc))
-    return sc.builder.and_(*parts) if len(parts) > 1 else parts[0]
-
-
-def _cat(sc: _Scanner) -> Ere:
-    """A concatenation, folded from the right: the part already folded leans
-    right, so each ``concat`` step costs O(1) unless its factor is itself a
-    concatenation.  A plain character is read here from the text, as the
-    parse's literal node of that character; any other factor goes down
-    through ``_factor``."""
-    text, end = sc.text, len(sc.text)
-    factors = [_factor(sc)]
-    while (pos := sc.pos) < end and (c := text[pos]) not in _ATOM_STOP:
-        if c in _ATOM_OPEN or text[pos + 1 : pos + 2] == "*":
-            factors.append(_factor(sc))
-        else:
-            sc.pos = pos + 1
-            sc.literals += 1
-            factors.append(sc.char_literal(c))
-    concat = sc.builder.concat
-    node = factors.pop()
-    while factors:
-        node = concat(factors.pop(), node)
-    return node
-
-
-def _factor(sc: _Scanner) -> Ere:
-    """An atom under its postfix stars, then its prefix bangs."""
-    b = sc.builder
-    bangs = 0
-    while sc.peek() == "!":
-        sc.take()
-        bangs += 1
-    node = _atom(sc)
-    while sc.peek() == "*":
-        sc.take()
-        sc.unary += 1
-        node = b.star(node)
-    sc.unary += bangs
-    for _ in range(bangs):
-        node = b.not_(node)
-    return node
-
-
-def _atom(sc: _Scanner) -> Ere:
-    c = sc.peek()
-    if c is None or c in _ATOM_STOP:
-        raise ParseError("expected an expression atom", sc.pos)
-    if c == "(":
-        if sc.depth == MAX_NESTING:
-            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", sc.pos)
-        sc.take()
-        if sc.peek() == ")":
-            sc.take()
-            sc.epsilons += 1
-            return sc.builder.epsilon()
-        sc.depth += 1
-        node = _alt(sc)
-        sc.depth -= 1
-        sc.expect(")")
-        return node
-    sc.literals += 1
-    if c in "[.":
-        return sc.builder.literal(_set_atom(sc))
-    return sc.char_literal(sc.char())
-
-
-def _set_atom(sc: _Scanner) -> SymbolSet:
-    """The set of a ``[...]`` class, a ``.`` or one character."""
-    c = sc.peek()
-    if c == "[":
-        return _class(sc)
-    if c == ".":
-        sc.take()
-        return sc.algebra.top()
-    return _char_set(sc.algebra, sc.char())
-
-
-def _class(sc: _Scanner) -> SymbolSet:
-    sc.expect("[")
-    negate = False
-    if sc.peek() == "^":
-        sc.take()
-        negate = True
+def _set_atom(text: str, pos: int, algebra: Algebra) -> tuple[SymbolSet, int]:
+    """The set of the ``[...]`` class, the ``.`` or the one character at
+    ``pos``, and the position after it."""
+    if text[pos] == ".":
+        return algebra.top(), pos + 1
+    if text[pos] != "[":
+        c, pos = _char(text, pos)
+        return _char_set(algebra, c), pos
+    pos += 1
+    negate = text.startswith("^", pos)
+    pos += negate
     items: list[tuple[int, int]] = []
-    while sc.peek() != "]":
-        if sc.peek() is None:
-            raise ParseError("unterminated character class", sc.pos)
-        if sc.peek() == "-":
-            raise ParseError("'-' must be escaped or part of a range", sc.pos)
-        lo = sc.char()
-        if sc.peek() == "-":
-            sc.take()
-            if sc.peek() in (None, "]"):
-                raise ParseError("expected range end after '-'", sc.pos)
-            hi = sc.char()
-            if ord(hi) < ord(lo):
-                raise ParseError(f"empty range {lo}-{hi}", sc.pos)
-            items.append((ord(lo), ord(hi)))
-        else:
-            items.append((ord(lo), ord(lo)))
-    sc.take()
-    return sc.algebra.class_set(items, negate)
+    while (c := text[pos : pos + 1]) != "]":
+        if not c:
+            raise ParseError("unterminated character class", pos)
+        if c == "-":
+            raise ParseError("'-' must be escaped or part of a range", pos)
+        lo, pos = _char(text, pos)
+        hi = lo
+        if text.startswith("-", pos):
+            pos += 1
+            if text[pos : pos + 1] in ("", "]"):
+                raise ParseError("expected range end after '-'", pos)
+            hi, pos = _char(text, pos)
+            if hi < lo:
+                raise ParseError(f"empty range {lo}-{hi}", pos)
+        items.append((ord(lo), ord(hi)))
+    return algebra.class_set(items, negate), pos + 1
 
 
 # ---------------------------------------------------------------------------

@@ -310,12 +310,17 @@ def test_format_set_round_trips(case):
 
 
 def test_class_expansion_limit():
+    # There is no limit: the full-range class is accepted, is ``.`` itself,
+    # and is stored once.  Its scan steps are its codepoints, then the
+    # universe again for the flip to the empty cofinite set.
     alg = FiniteCofiniteAlgebra()
-    # refused on every call, and never stored
-    for _ in range(2):
-        with pytest.raises(AlgebraError):
-            alg.class_set([(0, 0x10FFFF)], False)
-    assert alg.scan_steps == 0 and not alg._memo
+    full = alg.class_set([(0, 0x10FFFF)], False)
+    assert full is alg.top() and full.cofinite and full.members == ()
+    assert alg.scan_steps == 2 * 0x110000
+    assert alg.class_set([(0, 0x10FFFF)], False) is full
+    assert alg.scan_steps == 2 * 0x110000 and len(alg._memo) == 2  # the set and its class
+    assert parse_class_text("[\\u{0}-\\u{10ffff}]", alg) is full
+    assert alg.complement(alg.class_set([(0, 0x10FFFF)], True)) is full
 
 
 def test_a_class_is_expanded_once_per_algebra():

@@ -302,6 +302,16 @@ def test_parse_error_exit_code(capsys):
     assert "position 4" in err
 
 
+def test_symbol_outside_a_finite_alphabet_is_a_parse_error(capsys):
+    # no counted repetition: '{' is a symbol, and bitset:abc lacks it
+    code, out, err = run(capsys, "check", *ABC, "a{2}", "b")
+    assert code == 2 and not out
+    assert "symbol '{' is not in the alphabet (at position 1)" in err
+    # over unicode, a{2} is the four-symbol word
+    code, out, _ = run(capsys, "match", "a{2}", "a{2}")
+    assert code == 0 and out == "MATCH\n"
+
+
 def test_bad_alphabet(capsys):
     code, _, err = run(capsys, "check", "--alphabet", "weird", "a", "a")
     assert code == 2 and "unknown alphabet" in err

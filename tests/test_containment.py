@@ -605,8 +605,8 @@ def test_twin_alphabets_agree():
 
 
 # Placeholder classes for the wide twin referee: ASCII ranges, one symbol on
-# either side of Latin-1, CJK, emoji, and a class spanning both; each fits
-# ``FiniteCofiniteAlgebra.CLASS_EXPANSION_LIMIT``, negated or not.
+# either side of Latin-1, CJK, emoji, and a class spanning both, negated or
+# not.
 WIDE_CLASSES = (
     "[a-m]", "[k-z]", "[0-9a-f]", "x", "\\u{9fff}", "[\\u{4e00}-\\u{9fff}]",
     "[\\u{1f600}-\\u{1f64f}]", "[\\u{4e00}-\\u{9fff}\\u{1f600}-\\u{1f64f}]",

@@ -389,7 +389,26 @@ def test_parse_atoms(b):
     assert isinstance(b.parse("[^]"), Literal)
     assert b.parse("[^]").symbols == b.algebra.top()
     assert b.parse(".").symbols == b.algebra.top()
-    assert b.parse("\\*") is b.literal(b.algebra.class_set([(ord("*"), ord("*"))], False))
+    # an escaped symbol outside the alphabet is an error at its backslash,
+    # and the symbol itself over an alphabet that holds it
+    with pytest.raises(ParseError, match=r"^symbol '\*' is not in the alphabet ") as err:
+        b.parse("a\\*")
+    assert err.value.position == 1
+    star = ExprBuilder(BitsetAlgebra("ab*"))
+    assert star.parse("\\*") is star.literal(star.algebra.from_chars("*"))
+
+
+def test_a_symbol_outside_the_alphabet_is_a_parse_error(b):
+    # found at its first appearance: in a run, before a '*' or escaped
+    for text, pos in (("a{2}", 1), ("ab(cz)", 4), ("abz*", 2), ("ab\\u{7a}", 2), ("a|zz", 2)):
+        with pytest.raises(ParseError, match="^symbol '[{z]' is not in the alphabet") as err:
+            b.parse(text)
+        assert err.value.position == pos
+    # a class is clipped to the alphabet
+    assert b.parse("[xyz]") is b.bottom()
+    assert b.parse("[^z]") is b.parse(".")
+    # over unicode there is no such symbol, and no counted repetition
+    assert parse_with_metrics("a{2}", ExprBuilder(IntervalAlgebra()))[1:] == (7, 4)
 
 
 def test_parse_classes():
@@ -420,6 +439,12 @@ def test_parse_classes():
         ("ab*|", 4),
         ("a!", 2),
         ("ab\\", 3),
+        ("[a\\", 3),
+        ("[a-\\u{}]", 6),
+        ("a\\u", 3),
+        ("a**b)", 4),
+        ("ab*c)", 4),
+        ("ab\\u{61}*(c", 11),
     ],
 )
 def test_parse_errors_carry_position(b, text, pos):
@@ -453,7 +478,7 @@ def test_builder_rejects_bad_input(b):
 
 
 def test_plain_characters_parse_as_general_atoms(b):
-    # a bare ``a`` is read by the plain-character loop, ``(a)`` by ``_atom``
+    # a bare ``a`` is read as a run of plain characters, ``(a)`` as a group
     tokens = ["a", "b", "c", "*", "!", ".", "(", ")", "|", "&", "[ab]", "\\*"]
     rng = random.Random(16)
     for _ in range(3000):
@@ -481,6 +506,39 @@ def test_word_makes_one_set_per_distinct_character():
     )
     assert len(calls) <= 3
     assert raw_size == 2 * n - 1 and raw_width == n
+
+
+FACTORS = {
+    "a": lambda b: b.char("a"),
+    "b": lambda b: b.char("b"),
+    "c": lambda b: b.char("c"),
+    "a*": lambda b: b.star(b.char("a")),
+    "!b": lambda b: b.not_(b.char("b")),
+    "!c**": lambda b: b.not_(b.star(b.char("c"))),
+    "[ab]": lambda b: b.literal(b.algebra.from_chars("ab")),
+    "\\u{63}": lambda b: b.char("c"),
+    "\\b": lambda b: b.char("b"),
+}
+
+
+def test_parse_interns_the_nodes_of_a_fold_in_order():
+    # The parse interns each factor's nodes in text order, a character's
+    # literal at its first appearance, and then the concatenations of a
+    # fold from the right: the same eids and table order as building the
+    # word by hand, which traces and witnesses rest on.
+    rng = random.Random(26)
+    alg = BitsetAlgebra("abc")
+    for n in (1, 2, 3, 7, 40, 300, 2000):
+        for tokens in (["a", "b", "c"], list(FACTORS)):
+            word = rng.choices(tokens, k=n)
+            b, ref = ExprBuilder(alg), ExprBuilder(alg)
+            node = b.parse("".join(word))
+            parts = [FACTORS[t](ref) for t in word]
+            folded = parts.pop()
+            while parts:
+                folded = ref.concat(parts.pop(), folded)
+            assert list(b._table) == list(ref._table)
+            assert node.eid == folded.eid == len(ref._table) - 1
 
 
 def test_nesting_limit(b):
