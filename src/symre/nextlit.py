@@ -22,10 +22,15 @@ Both are found by one walk that loops down concatenations and stars, so a
 long concatenation costs no recursion, and are memoized per node
 (``ExprBuilder.lead_cache``), except at a star or a concatenation whose
 head is not nullable: those have the leading literals and coverage of the
-node below them.  The minterms, and the classes of an inequality with
-their witnesses (``pair_classes``), are pure functions of a few symbol
-sets, and the unfolding meets only a handful of distinct arguments while
-it visits thousands of pairs.  They therefore go through ``_combine``,
+node below them.  So a concatenation whose head is not nullable has its
+head's partition, the same object, and ``next_literals`` keeps no entry
+for it in ``ExprBuilder.next_cache``: every suffix of a word shares the
+entry of its head literal.
+
+The minterms, and the classes of an inequality with their witnesses
+(``pair_classes``), are pure functions of a few symbol sets, and the
+unfolding meets only a handful of distinct arguments while it visits
+thousands of pairs.  They therefore go through ``_combine``,
 which memoizes the result per builder (``ExprBuilder.partition_cache``)
 keyed by the operation and its two arguments by value.  Symbol sets
 compare equal only within one algebra instance, so a set from another
@@ -115,6 +120,8 @@ def _combine(b: ExprBuilder, op: Callable, left, right):
 
 
 def next_literals(b: ExprBuilder, r: Ere) -> Partition:
+    if type(r) is Concat and not r.head.nullable:
+        r = r.head  # the same leading literals and coverage, so the same partition
     out = b.next_cache.get(r.eid)
     if out is None:
         literals, coverage = _leading(b, r)

@@ -114,14 +114,21 @@ class ExprBuilder:
     def __init__(self, algebra: Algebra):
         self.algebra = algebra
         self._table: dict[tuple, Ere] = {}  # a node's eid is its index here
-        # Memo tables used by the derivative, next-literal and emptiness
-        # operations.  ``next_cache`` maps an eid to its next-literal
-        # partition, and ``lead_cache`` to its leading literals and coverage,
-        # the two arguments the partition's minterms are computed from (see
-        # ``nextlit``); ``partition_cache`` maps a partition operation and its
-        # two arguments, by value, to its result (see ``nextlit._combine``);
-        # ``word_cache`` maps an eid to its shortest word, or to ``None`` when
-        # the language is empty (see ``shortest_word``).
+        # Memo tables used by the parser and by the derivative, next-literal
+        # and emptiness operations.  ``parse_cache`` maps a text that parsed
+        # to its node (see ``parse``).  ``deriv_cache`` maps a probe and an
+        # eid to the derivative, and ``next_cache`` an eid to its
+        # next-literal partition; as the unfolding steps down a word, its
+        # suffixes make no entry in either: each derives through its head
+        # literal's entry and shares its partition (see ``derivative`` and
+        # ``nextlit``).  ``lead_cache`` maps an eid to its leading literals
+        # and coverage, the two arguments the partition's minterms are
+        # computed from; ``partition_cache`` maps a partition operation and
+        # its two arguments, by value, to its result (see
+        # ``nextlit._combine``); ``word_cache`` maps an eid to its shortest
+        # word, or to ``None`` when the language is empty (see
+        # ``shortest_word``).
+        self.parse_cache: dict[str, Ere] = {}
         self.deriv_cache: dict[tuple, Ere] = {}
         self.next_cache: dict[int, tuple[SymbolSet, ...]] = {}
         self.lead_cache: dict[int, tuple[tuple[SymbolSet, ...], SymbolSet]] = {}
@@ -268,8 +275,17 @@ class ExprBuilder:
         return self._table.get(key) or self._intern(key, Not, r, nullable=not r.nullable)
 
     def parse(self, text: str) -> Ere:
-        """The node of ``text`` in the concrete syntax."""
-        return parse_with_metrics(text, self)[0]
+        """The node of ``text`` in the concrete syntax.
+
+        Memoized per builder, as ``re`` caches its compiled patterns: a text
+        is parsed on its first call only.  A text that fails to parse makes
+        no entry, so it raises the same ``ParseError`` on every call.
+        ``parse_with_metrics`` is not memoized.
+        """
+        node = self.parse_cache.get(text)
+        if node is None:
+            node = self.parse_cache[text] = parse_with_metrics(text, self)[0]
+        return node
 
 
 def _occurrences(r: Ere):
@@ -346,6 +362,9 @@ _ATOM_OPEN = "(![.\\"
 # A run of plain characters: none of the tokens above, and no '*' after the
 # last, as a '*' binds to that one alone.
 _RUN = re.compile(r"[^|&)*\]!(\[.\\]+(?!\*)")
+# The digits of a ``\u{hex}`` escape: no sign, underscore or space, which
+# ``int(digits, 16)`` alone would take.
+_HEX = re.compile("[0-9A-Fa-f]+")
 
 
 def _char_set(algebra: Algebra, c: str) -> SymbolSet:
@@ -371,10 +390,9 @@ def _char(text: str, pos: int) -> tuple[str, int]:
         where = start if close == start else len(text)
         raise ParseError("expected hex digits and '}' after \\u{", where)
     digits = text[start:close]
-    try:
-        cp = int(digits, 16)
-    except ValueError:
-        raise ParseError(f"bad hex escape {digits!r}", start) from None
+    if not _HEX.fullmatch(digits):
+        raise ParseError(f"bad hex escape {digits!r}", start)
+    cp = int(digits, 16)
     if cp > 0x10FFFF:
         raise ParseError(f"codepoint {digits} out of range", start)
     return chr(cp), close + 1

@@ -312,6 +312,15 @@ def test_symbol_outside_a_finite_alphabet_is_a_parse_error(capsys):
     assert code == 0 and out == "MATCH\n"
 
 
+@pytest.mark.parametrize("text", ["\\u{+4_1}", "\\u{4_1}", "\\u{ 41 }", "\\u{-1}", "[\\u{-1}]"])
+def test_hex_escape_takes_only_hex_digits(capsys, text):
+    code, out, err = run(capsys, "check", text, "A")
+    assert code == 2 and not out
+    assert "bad hex escape" in err and "at position" in err
+    code, out, err = run(capsys, "match", text, "A")
+    assert code == 2 and not out and "at position" in err
+
+
 def test_bad_alphabet(capsys):
     code, _, err = run(capsys, "check", "--alphabet", "weird", "a", "a")
     assert code == 2 and "unknown alphabet" in err

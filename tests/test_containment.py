@@ -377,6 +377,44 @@ def test_long_words_get_verdicts(n, letters, seed):
         assert membership(b, word, b.parse(pattern)) == expected, pattern
 
 
+def _word_without_abba(n):
+    rng = random.Random(27)
+    word = ""
+    for _ in range(n):
+        c = rng.choice("ab")
+        word += "b" if word[-3:] + c == "abba" else c
+    return word
+
+
+def test_memo_tables_stay_flat_over_word_length():
+    # a word's suffixes derive through their head literal and share its
+    # partition, so they add no derivative or next-literal entries: the
+    # checks and matches below add the same few entries for a word of 10^3
+    # symbols as for one of 10^4, not one entry per suffix
+    base = _word_without_abba(10**4)
+    growth = {}
+    for n in (10**3, 10**4):
+        word = base[:n]
+        # the pattern, whether it matches, and the verdicts of word <= pattern
+        # and pattern <= word with their visited pairs
+        for pattern, matched, forward, backward in (
+            ("[ab]*", True, (True, None, n + 1), (False, "", 1)),
+            (".*abba.*", False, (False, word, n + 1), (False, "\0abba", 2)),
+        ):
+            b = ExprBuilder(IntervalAlgebra())
+            r, s = b.parse(word), b.parse(pattern)
+            assert not b.deriv_cache and not b.next_cache
+            chk = Checker(b)
+            for lhs, rhs, expected in ((r, s, forward), (s, r, backward)):
+                verdict = chk.check(lhs, rhs)
+                assert (verdict.holds, verdict.witness, verdict.stats.visited) == expected
+            assert membership(b, word, s) is matched
+            growth[n, pattern] = (len(b.deriv_cache), len(b.next_cache))
+    for pattern in ("[ab]*", ".*abba.*"):
+        assert growth[10**3, pattern] == growth[10**4, pattern]
+        assert max(growth[10**3, pattern]) < 50, pattern
+
+
 def test_long_chain_of_nullable_heads_gets_a_verdict():
     # the next literals of a concatenation whose heads are all nullable are
     # found with a loop along the chain, not one recursion per factor

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from symre import syntax
 from symre.alphabet import AlgebraError, BitsetAlgebra, IntervalAlgebra
 from symre.syntax import (
     MAX_NESTING,
@@ -445,6 +446,12 @@ def test_parse_classes():
         ("a**b)", 4),
         ("ab*c)", 4),
         ("ab\\u{61}*(c", 11),
+        ("\\u{+4_1}", 3),
+        ("\\u{4_1}", 3),
+        ("\\u{ 41 }", 3),
+        ("\\u{-1}", 3),
+        ("[\\u{-1}]", 4),
+        ("\\u{\u0664\u0661}", 3),
     ],
 )
 def test_parse_errors_carry_position(b, text, pos):
@@ -541,6 +548,33 @@ def test_parse_interns_the_nodes_of_a_fold_in_order():
             assert node.eid == folded.eid == len(ref._table) - 1
 
 
+def test_parse_is_memoized_per_builder(monkeypatch):
+    alg = BitsetAlgebra("abc")
+    b, other = ExprBuilder(alg), ExprBuilder(alg)
+    rng = random.Random(27)
+    texts = [raw_text(random_raw(rng, alg, 12, C3_WEIGHTS)) for _ in range(300)]
+    nodes = [b.parse(t) for t in texts]
+    assert set(b.parse_cache) == set(texts)
+    calls = []
+    parse = syntax.parse_with_metrics
+    monkeypatch.setattr(syntax, "parse_with_metrics", lambda t, bb: calls.append(t) or parse(t, bb))
+    for t, node in zip(texts, nodes):
+        assert b.parse(t) is node is parse_with_metrics(t, b)[0]
+    assert not calls  # every text came from the memo
+    # a text that fails makes no entry, and fails alike on every call
+    for bad, pos in (("(a", 2), ("a{2}", 1), ("\\u{+61}", 3)):
+        for _ in range(3):
+            with pytest.raises(ParseError) as err:
+                b.parse(bad)
+            assert err.value.position == pos
+        assert bad not in b.parse_cache
+    assert calls == ["(a"] * 3 + ["a{2}"] * 3 + ["\\u{+61}"] * 3
+    # another builder parses for itself, into nodes of its own table
+    assert not other.parse_cache
+    assert other.parse(texts[0]) is not nodes[0]
+    assert calls[-1] == texts[0] and list(other.parse_cache) == [texts[0]]
+
+
 def test_nesting_limit(b):
     deepest = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
     assert b.parse(deepest) is b.char("a")
@@ -570,6 +604,13 @@ def test_parse_class_text(b):
 def test_unescape_word():
     assert unescape_word("ab\\u{63}") == "abc"
     assert unescape_word("\\\\") == "\\"
+    assert unescape_word("\\u{1F600}\\u{1f600}") == "\U0001f600" * 2
+    # only hex digits: no sign, underscore, space or non-ASCII digit
+    for text, pos in (("a\\u{+41}", 4), ("\\u{4_1}", 3), ("\\u{ 41}", 3), ("\\u{-1}", 3), ("\\u{\u0664}", 3)):
+        with pytest.raises(ParseError) as err:
+            unescape_word(text)
+        assert str(err.value).startswith("bad hex escape "), text
+        assert err.value.position == pos, text
 
 
 # -- interning and rendering -----------------------------------------------------
