@@ -18,14 +18,13 @@ concatenation with a nullable head; the intersection over ``&``, so an
 nothing for ``()``.  Being a boolean combination of leading literals, it
 holds every minterm whole or misses it.
 
-Both are found by one walk that loops down concatenations and stars, so a
-long concatenation costs no recursion, and are memoized per node
-(``ExprBuilder.lead_cache``), except at a star or a concatenation whose
-head is not nullable: those have the leading literals and coverage of the
-node below them.  So a concatenation whose head is not nullable has its
-head's partition, the same object, and ``next_literals`` keeps no entry
-for it in ``ExprBuilder.next_cache``: every suffix of a word shares the
-entry of its head literal.
+Both are facts of the node, like its nullability: the builder sets them
+as ``Ere.lead`` when it interns the node, from the ``lead`` of its
+parts.  A star, and a concatenation whose head is not nullable, share the
+``lead`` of the node below them.  So a concatenation whose head is not
+nullable has its head's partition, the same object, and ``next_literals``
+keeps no entry for it in ``ExprBuilder.next_cache``: every suffix of a
+word shares the entry of its head literal.
 
 The minterms, and the classes of an inequality with their witnesses
 (``pair_classes``), are pure functions of a few symbol sets, and the
@@ -44,7 +43,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 
 from .alphabet import Algebra, SymbolSet
-from .syntax import And, Concat, Epsilon, Ere, ExprBuilder, Literal, Not, Star, Union
+from .syntax import Concat, Ere, ExprBuilder
 
 Partition = tuple[SymbolSet, ...]
 
@@ -120,62 +119,15 @@ def _combine(b: ExprBuilder, op: Callable, left, right):
 
 
 def next_literals(b: ExprBuilder, r: Ere) -> Partition:
+    """The next-literal partition of ``r``: the minterms of its leading
+    literals inside its coverage, memoized per node."""
     if type(r) is Concat and not r.head.nullable:
         r = r.head  # the same leading literals and coverage, so the same partition
     out = b.next_cache.get(r.eid)
     if out is None:
-        literals, coverage = _leading(b, r)
-        out = _combine(b, minterms, coverage, literals)
-        b.next_cache[r.eid] = out
+        literals, coverage = r.lead
+        out = b.next_cache[r.eid] = _combine(b, minterms, coverage, literals)
     return out
-
-
-def _leading(b: ExprBuilder, r: Ere) -> tuple[tuple[SymbolSet, ...], SymbolSet]:
-    """``r``'s distinct leading literals, in order of appearance, and its coverage."""
-    cache = b.lead_cache
-    chain = []  # the concatenations with a nullable head on the way down
-    # Stars and concatenations with a head that is not nullable are passed
-    # through unmemoized, so that every suffix of a long word costs no entry.
-    while r.eid not in cache and isinstance(r, (Concat, Star)):
-        if isinstance(r, Star):
-            r = r.inner
-        elif r.head.nullable:
-            chain.append(r)
-            r = r.tail
-        else:
-            r = r.head
-    out = cache.get(r.eid)
-    if out is None:
-        out = cache[r.eid] = _leading_of(b, r)
-    for node in reversed(chain):
-        out = cache[node.eid] = _merge(b.algebra.union, (_leading(b, node.head), out))
-    return out
-
-
-def _leading_of(b: ExprBuilder, r: Ere) -> tuple[tuple[SymbolSet, ...], SymbolSet]:
-    alg = b.algebra
-    if isinstance(r, Epsilon):
-        return (), alg.bottom()
-    if isinstance(r, Literal):
-        return (r.symbols,), r.symbols
-    if isinstance(r, Not):
-        return _leading(b, r.inner)[0], alg.top()
-    if isinstance(r, Union):
-        return _merge(alg.union, [_leading(b, m) for m in r.members])
-    if isinstance(r, And):
-        return _merge(alg.intersect, [_leading(b, m) for m in r.members])
-    raise TypeError(r)
-
-
-def _merge(cover: Callable, parts) -> tuple[tuple[SymbolSet, ...], SymbolSet]:
-    """All the parts' literals, and their coverages combined by ``cover``."""
-    literals, coverage = parts[0]
-    for lits, c in parts[1:]:
-        if lits is not literals:
-            literals += tuple(lit for lit in lits if lit not in literals)
-        if c is not coverage:
-            coverage = cover(coverage, c)
-    return literals, coverage
 
 
 def next_of_ineq(b: ExprBuilder, r: Ere, s: Ere) -> Partition:

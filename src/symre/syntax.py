@@ -32,10 +32,21 @@ from collections.abc import Callable
 
 from .alphabet import Algebra, AlgebraError, SymbolSet
 
-class Ere:
-    """A normalized expression node; equality and hashing are by identity."""
+Lead = tuple[tuple[SymbolSet, ...], SymbolSet]
 
-    __slots__ = ("eid", "nullable")
+
+class Ere:
+    """A normalized expression node; equality and hashing are by identity.
+
+    Besides its parts, a node carries two facts found from its parts' facts
+    when the builder interns it: ``nullable``, whether it matches the empty
+    word, and ``lead``, its distinct leading literals in order of appearance
+    and its coverage (see ``nextlit``).  A star, and a concatenation whose
+    head is not nullable, share the ``lead`` object of the node below them,
+    so every suffix of a word shares that of its head literal.
+    """
+
+    __slots__ = ("eid", "nullable", "lead")
 
     def __init__(self, eid: int, nullable: bool):
         self.eid = eid
@@ -118,20 +129,17 @@ class ExprBuilder:
         # and emptiness operations.  ``parse_cache`` maps a text that parsed
         # to its node (see ``parse``).  ``deriv_cache`` maps a probe and an
         # eid to the derivative, and ``next_cache`` an eid to its
-        # next-literal partition; as the unfolding steps down a word, its
-        # suffixes make no entry in either: each derives through its head
-        # literal's entry and shares its partition (see ``derivative`` and
-        # ``nextlit``).  ``lead_cache`` maps an eid to its leading literals
-        # and coverage, the two arguments the partition's minterms are
-        # computed from; ``partition_cache`` maps a partition operation and
-        # its two arguments, by value, to its result (see
-        # ``nextlit._combine``); ``word_cache`` maps an eid to its shortest
-        # word, or to ``None`` when the language is empty (see
-        # ``shortest_word``).
+        # next-literal partition, the minterms of the node's ``lead``; as
+        # the unfolding steps down a word, its suffixes make no entry in
+        # either: each derives through its head literal's entry and shares
+        # its partition (see ``derivative`` and ``nextlit``).
+        # ``partition_cache`` maps a partition operation and its two
+        # arguments, by value, to its result (see ``nextlit._combine``);
+        # ``word_cache`` maps an eid to its shortest word, or to ``None``
+        # when the language is empty (see ``shortest_word``).
         self.parse_cache: dict[str, Ere] = {}
         self.deriv_cache: dict[tuple, Ere] = {}
         self.next_cache: dict[int, tuple[SymbolSet, ...]] = {}
-        self.lead_cache: dict[int, tuple[tuple[SymbolSet, ...], SymbolSet]] = {}
         self.partition_cache: dict[tuple, object] = {}
         self.word_cache: dict[int, tuple | None] = {}
         self._bottom = self.literal(algebra.bottom())
@@ -141,7 +149,22 @@ class ExprBuilder:
         node = self._table.get(key)
         if node is None:
             node = self._table[key] = ctor(len(self._table), nullable, *args)
+            node.lead = self._lead(node)
         return node
+
+    def _lead(self, r: Ere) -> Lead:
+        """The ``lead`` of the new node ``r``, from the ``lead`` of its parts;
+        ``concat`` sets a concatenation's itself."""
+        alg, kind = self.algebra, type(r)
+        if kind is Literal:
+            return (r.symbols,), r.symbols
+        if kind is Epsilon:
+            return (), alg.bottom()
+        if kind is Star:
+            return r.inner.lead
+        if kind is Not:
+            return r.inner.lead[0], alg.top()
+        return _merge(alg.union if kind is Union else alg.intersect, [m.lead for m in r.members])
 
     def epsilon(self) -> Ere:
         return self._intern(("eps",), Epsilon, nullable=True)
@@ -212,6 +235,7 @@ class ExprBuilder:
         node = table.get(key)
         if node is None:
             node = table[key] = Concat(len(table), r.nullable and s.nullable, r, s)
+            node.lead = _merge(self.algebra.union, (r.lead, s.lead)) if r.nullable else r.lead
         return node
 
     def star(self, r: Ere) -> Ere:
@@ -286,6 +310,17 @@ class ExprBuilder:
         if node is None:
             node = self.parse_cache[text] = parse_with_metrics(text, self)[0]
         return node
+
+
+def _merge(cover: Callable, parts) -> Lead:
+    """All the parts' literals, and their coverages combined by ``cover``."""
+    literals, coverage = parts[0]
+    for lits, c in parts[1:]:
+        if lits is not literals:
+            literals += tuple(lit for lit in lits if lit not in literals)
+        if c is not coverage:
+            coverage = cover(coverage, c)
+    return literals, coverage
 
 
 def _occurrences(r: Ere):

@@ -416,8 +416,9 @@ def test_memo_tables_stay_flat_over_word_length():
 
 
 def test_long_chain_of_nullable_heads_gets_a_verdict():
-    # the next literals of a concatenation whose heads are all nullable are
-    # found with a loop along the chain, not one recursion per factor
+    # the leading literals of a concatenation whose heads are all nullable
+    # are set as each concatenation is interned, from its head's and its
+    # tail's, not by one recursion per factor
     b = ExprBuilder(BitsetAlgebra("ab"))
     verdict = Checker(b).check(b.parse("a*" * 300), b.parse("a*"))
     assert verdict.holds

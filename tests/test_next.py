@@ -3,7 +3,7 @@ import random
 import pytest
 
 from symre import containment, derivative, nextlit
-from symre.alphabet import AlgebraError, BitsetAlgebra
+from symre.alphabet import AlgebraError, BitsetAlgebra, FiniteCofiniteAlgebra, IntervalAlgebra
 from symre.containment import Checker
 from symre.derivative import deriv_symbol, refines_next
 from symre.nextlit import (
@@ -17,7 +17,7 @@ from symre.nextlit import (
     partition_union,
     witnessed_left_join,
 )
-from symre.syntax import And, Concat, ExprBuilder, Literal, Not, Star, Union, width
+from symre.syntax import And, Concat, Epsilon, ExprBuilder, Literal, Not, Star, Union, width
 
 from exprgen import C3_WEIGHTS, random_partition, random_raw, raw_text
 
@@ -167,7 +167,7 @@ def test_next_of_intersection(b):
 
 
 def test_next_of_long_nullable_chain(b):
-    # one loop along the chain of nullable heads, however long it is
+    # no recursion along the chain of nullable heads, however long it is
     r = b.parse("(a|())" * 250 + "b")
     assert next_literals(b, r) == _sets(b.algebra, "a", "b")
     assert next_literals(b, b.parse("a*" * 2000)) == _sets(b.algebra, "a")
@@ -238,6 +238,45 @@ def _brute_minterms(alg, r):
 def _random_expressions(b):
     rng = random.Random(33)
     return [b.parse(raw_text(random_raw(rng, b.algebra, 9))) for _ in range(500)]
+
+
+_CLASS_TEMPLATES = [
+    "[a-z]*[0-9]",
+    ".*[^a-c]x",
+    "([^b]|\\u{1f600})*&!(.*b.*)",
+    "(()|[a-m])[^x]*|x",
+    "!([a-z]*)&[^0-9]*",
+]
+
+
+def test_lead_is_set_when_a_node_is_interned():
+    rng = random.Random(28)
+    cases = [
+        (
+            BitsetAlgebra("abc"),
+            [raw_text(random_raw(rng, BitsetAlgebra("abc"), 10, C3_WEIGHTS)) for _ in range(300)],
+        ),
+        (IntervalAlgebra(), _CLASS_TEMPLATES),
+        (FiniteCofiniteAlgebra(), _CLASS_TEMPLATES),
+    ]
+    for alg, texts in cases:
+        b = ExprBuilder(alg)
+        nodes = [b.parse(t) for t in texts]
+        # the checks intern the derivatives of both sides as well
+        for r, s in zip(nodes, nodes[1:] + nodes[:1]):
+            Checker(b).check(r, s)
+        kinds = set()
+        for n in b._table.values():
+            kinds.add(type(n))
+            literals = tuple(dict.fromkeys(_leading_literals(n)))
+            assert n.lead == (literals, _coverage(alg, n)), repr(n)
+            # a slot, as ``nullable`` is: no node keeps a per-instance dict
+            assert not hasattr(n, "__dict__"), type(n)
+        if len(texts) > len(_CLASS_TEMPLATES):
+            assert kinds == {Epsilon, Literal, Union, Concat, Star, And, Not}
+    # a star and a word share the ``lead`` of their head literal, the object
+    b = ExprBuilder(BitsetAlgebra("ab"))
+    assert b.parse("a*").lead is b.parse("a").lead is b.parse("ab").lead
 
 
 def test_partition_invariants_on_random_expressions():
