@@ -5,10 +5,10 @@ the empty word while the right side does not is a refutation; a revisited
 pair closes a cycle and counts as proven; otherwise the pair is split along
 the next literals of the inequality and both sides are differentiated by
 each literal.  The classes come from ``nextlit.pair_classes``, memoized per
-partition pair with each class's witness symbol; all the symbols of a class
-have the same derivative on each side, so a branch costs two symbol
-derivatives by the witness.  A pair without classes is unfolded into no
-branches.
+pair of the two sides' leads with each class's witness symbol; all the
+symbols of a class have the same derivative on each side, so a branch costs
+two symbol derivatives by the witness.  A pair without classes is unfolded
+into no branches.
 Termination follows from the finiteness of dissimilar iterated derivatives.
 Four fast-path axioms close a pair before it is unfolded: identity, the
 universal right side ``.*``, a left intersection among whose members is
@@ -18,7 +18,8 @@ decides either way.  They never change a verdict, only the statistics.  A
 ``[]`` or ``()`` left side has no next literals, so the unfolding closes
 its pair in the one visit that opens it, with no axiom.
 A traced check renders each node once: its events share one map of node
-texts, so each pair costs its new nodes only.
+texts, so each pair costs its new nodes only.  An untraced check builds no
+event and renders nothing.
 
 Refutations carry a witness word built from the deterministic per-literal
 witness symbols along the failing path, so a reported witness is always a
@@ -169,83 +170,74 @@ class Checker:
     # -- queries -----------------------------------------------------------
 
     def check(self, r: Ere, s: Ere) -> Verdict:
-        """Decide whether the language of ``r`` is contained in ``s``."""
+        """Decide whether the language of ``r`` is contained in ``s``.
+
+        One loop visits the pairs depth first.  Disprove, the axioms and
+        cycle detection answer a pair; otherwise it is unfolded, and its
+        frame steps through its branches.
+        """
         b = self.builder
-        alg = b.algebra
+        trace, fuel, use_axioms = self.trace, self.fuel, self.use_axioms
         bottom, top = b.bottom(), b.sigma_star()
         texts: dict = {}  # the text of each node a trace event named so far
         assumed: set[tuple[int, int]] = set()
         frames: list[list] = []  # [lhs, rhs, branches, next branch] per unfolded pair
-        visited = max_depth = 0
-
-        def emit(rule: str, lhs: Ere, rhs: Ere, literal, depth: int) -> None:
-            if self.trace is not None:
-                self.trace(
-                    {
-                        "rule": rule,
-                        "lhs": to_text(lhs, texts),
-                        "rhs": to_text(rhs, texts),
-                        "literal": None if literal is None else alg.format_set(literal),
-                        "depth": depth,
-                    }
-                )
-
-        def visit(lhs: Ere, rhs: Ere, depth: int) -> tuple | None:
-            """Answer the pair or push its frame.
-
-            Disprove, the axioms and cycle detection answer a pair; otherwise
-            it is unfolded.  Returns the witness tail of a refutation, else
-            None.
-            """
-            nonlocal visited, max_depth
+        visited = max_depth = depth = 0
+        lhs, rhs = r, s
+        while True:
             visited += 1
-            max_depth = max(max_depth, depth)
-            if visited > self.fuel:
+            if depth > max_depth:
+                max_depth = depth
+            if visited > fuel:
                 raise FuelExhausted(visited, max_depth)
+            # The rule that answers the pair, or that unfolds it into no
+            # branches; and the witness tail of a refutation.
+            rule = tail = None
             if lhs.nullable and not rhs.nullable:
-                emit("disprove", lhs, rhs, None, depth)
-                return ()
-            if self.use_axioms:
+                rule, tail = "disprove", ()
+            elif use_axioms:
                 if lhs is rhs:
-                    emit("prove-identity", lhs, rhs, None, depth)
-                    return None
-                if rhs is top:
-                    emit("prove-universal", lhs, rhs, None, depth)
-                    return None
+                    rule = "prove-identity"
+                elif rhs is top:
+                    rule = "prove-universal"
                 # L(r & s) is contained in L(r), and in L(s).
-                if type(lhs) is And and all(
+                elif type(lhs) is And and all(
                     m in lhs.members for m in (rhs.members if type(rhs) is And else (rhs,))
                 ):
-                    emit("prove-conjunct", lhs, rhs, None, depth)
-                    return None
-                if rhs is bottom:
-                    tail = shortest_word(b, lhs, self.fuel)
+                    rule = "prove-conjunct"
+                elif rhs is bottom:
+                    tail = shortest_word(b, lhs, fuel)
                     rule = "prove-empty-language" if tail is None else "disprove-empty"
-                    emit(rule, lhs, rhs, None, depth)
-                    return tail
-            pair = (lhs.eid, rhs.eid)
-            if pair in assumed:
-                emit("cycle", lhs, rhs, None, depth)
-                return None
-            branches = pair_classes(b, lhs, rhs)
-            if not branches:
-                emit("unfold", lhs, rhs, None, depth)
-            assumed.add(pair)
-            frames.append([lhs, rhs, branches, 0])
-            return None
-
-        tail = visit(r, s, 0)
-        while frames and tail is None:
-            lhs, rhs, todo, idx = frame = frames[-1]
-            if idx == len(todo):
+            if rule is None:
+                pair = (lhs.eid, rhs.eid)
+                if pair in assumed:
+                    rule = "cycle"
+                else:
+                    branches = pair_classes(b, lhs, rhs)
+                    if not branches:
+                        rule = "unfold"
+                    assumed.add(pair)
+                    frames.append([lhs, rhs, branches, 0])
+            if rule is not None and trace is not None:
+                trace(self._event(texts, rule, lhs, rhs, None, depth))
+            if tail is not None:
+                break
+            # Step to the next branch of the innermost frame that has one.
+            while frames:
+                lhs, rhs, todo, idx = frame = frames[-1]
+                if idx < len(todo):
+                    break
                 frames.pop()
                 if not self.global_memo:
                     assumed.discard((lhs.eid, rhs.eid))
-                continue
-            frame[3] += 1
+            else:
+                break
+            frame[3] = idx + 1
             a_set, a = todo[idx]
-            emit("unfold", lhs, rhs, a_set, len(frames) - 1)
-            tail = visit(deriv_symbol(b, a, lhs), deriv_symbol(b, a, rhs), len(frames))
+            depth = len(frames)
+            if trace is not None:
+                trace(self._event(texts, "unfold", lhs, rhs, a_set, depth - 1))
+            lhs, rhs = deriv_symbol(b, a, lhs), deriv_symbol(b, a, rhs)
 
         stats = CheckStats(visited, max_depth)
         if tail is None:
@@ -253,7 +245,17 @@ class Checker:
         # The failing path spells the witness's prefix: the witness symbol of
         # each open frame's current branch.
         prefix = tuple(branches[nxt - 1][1] for _, _, branches, nxt in frames)
-        return Verdict(False, alg.word_of(prefix + tuple(tail)), stats)
+        return Verdict(False, b.algebra.word_of(prefix + tuple(tail)), stats)
+
+    def _event(self, texts: dict, rule: str, lhs: Ere, rhs: Ere, literal, depth: int) -> dict:
+        """The trace event of ``rule`` at the pair, with node texts kept in ``texts``."""
+        return {
+            "rule": rule,
+            "lhs": to_text(lhs, texts),
+            "rhs": to_text(rhs, texts),
+            "literal": None if literal is None else self.builder.algebra.format_set(literal),
+            "depth": depth,
+        }
 
     def equivalent(self, r: Ere, s: Ere) -> Verdict:
         """Decide language equality as containment in both directions.

@@ -20,11 +20,12 @@ holds every minterm whole or misses it.
 
 Both are facts of the node, like its nullability: the builder sets them
 as ``Ere.lead`` when it interns the node, from the ``lead`` of its
-parts.  A star, and a concatenation whose head is not nullable, share the
-``lead`` of the node below them.  So a concatenation whose head is not
-nullable has its head's partition, the same object, and ``next_literals``
-keeps no entry for it in ``ExprBuilder.next_cache``: every suffix of a
-word shares the entry of its head literal.
+parts, and interns the lead itself, so nodes with equal leads share one
+``lead`` object.  A star, and a concatenation whose head is not nullable,
+share the ``lead`` of the node below them.  So a concatenation whose head
+is not nullable has its head's partition, the same object, and
+``next_literals`` keeps no entry for it in ``ExprBuilder.next_cache``:
+every suffix of a word shares the entry of its head literal.
 
 The minterms, and the classes of an inequality with their witnesses
 (``pair_classes``), are pure functions of a few symbol sets, and the
@@ -34,8 +35,12 @@ which memoizes the result per builder (``ExprBuilder.partition_cache``)
 keyed by the operation and its two arguments by value.  Symbol sets
 compare equal only within one algebra instance, so a set from another
 algebra never hits an entry and is still rejected by the operation itself.
-The public combinators ``join``, ``left_join`` and ``meet`` stay pure and
-unmemoized.
+As a partition is a function of the lead alone, ``pair_classes`` also
+keeps the classes of each inequality in ``partition_cache`` keyed by the
+identities of the two sides' leads: a pair whose two leads were met
+together before costs one lookup, with no ``next_literals`` call and no
+hash of a partition.  The public combinators ``join``, ``left_join`` and
+``meet`` stay pure and unmemoized.
 """
 
 from __future__ import annotations
@@ -152,8 +157,19 @@ Branch = tuple[SymbolSet, object]
 def pair_classes(b: ExprBuilder, r: Ere, s: Ere) -> tuple[Branch, ...]:
     """The classes of the inequality ``r`` contained-in ``s``, in order,
     each with its witness symbol (see ``witnessed_left_join``), so that a
-    branch of the unfolding derives both sides by that symbol."""
-    return _combine(b, witnessed_left_join, next_literals(b, r), next_literals(b, s))
+    branch of the unfolding derives both sides by that symbol.
+
+    Memoized by the identities of the two leads, which the builder keeps
+    alive (see ``ExprBuilder``): each side's partition is a function of its
+    lead, and a concatenation redirected to its head has the head's lead.
+    """
+    key = (id(r.lead), id(s.lead))
+    out = b.partition_cache.get(key)
+    if out is None:
+        out = b.partition_cache[key] = _combine(
+            b, witnessed_left_join, next_literals(b, r), next_literals(b, s)
+        )
+    return out
 
 
 def witnessed_left_join(alg: Algebra, left: Partition, right: Partition) -> tuple[Branch, ...]:

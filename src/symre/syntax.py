@@ -41,9 +41,10 @@ class Ere:
     Besides its parts, a node carries two facts found from its parts' facts
     when the builder interns it: ``nullable``, whether it matches the empty
     word, and ``lead``, its distinct leading literals in order of appearance
-    and its coverage (see ``nextlit``).  A star, and a concatenation whose
-    head is not nullable, share the ``lead`` object of the node below them,
-    so every suffix of a word shares that of its head literal.
+    and its coverage (see ``nextlit``).  Leads are interned per builder like
+    the nodes, so two nodes with equal leads hold the same ``lead`` object:
+    a star, and a concatenation whose head is not nullable, that of the node
+    below them, so every suffix of a word shares that of its head literal.
     """
 
     __slots__ = ("eid", "nullable", "lead")
@@ -134,14 +135,19 @@ class ExprBuilder:
         # either: each derives through its head literal's entry and shares
         # its partition (see ``derivative`` and ``nextlit``).
         # ``partition_cache`` maps a partition operation and its two
-        # arguments, by value, to its result (see ``nextlit._combine``);
-        # ``word_cache`` maps an eid to its shortest word, or to ``None``
-        # when the language is empty (see ``shortest_word``).
+        # arguments, by value, to its result (see ``nextlit._combine``),
+        # and the ids of two leads to the classes of an inequality between
+        # nodes with those leads (see ``nextlit.pair_classes``); ``_leads``
+        # maps each lead to its one interned object, and keeps it alive, so
+        # its id is never reused while the builder lives.  ``word_cache``
+        # maps an eid to its shortest word, or to ``None`` when the
+        # language is empty (see ``shortest_word``).
         self.parse_cache: dict[str, Ere] = {}
         self.deriv_cache: dict[tuple, Ere] = {}
         self.next_cache: dict[int, tuple[SymbolSet, ...]] = {}
         self.partition_cache: dict[tuple, object] = {}
         self.word_cache: dict[int, tuple | None] = {}
+        self._leads: dict[Lead, Lead] = {}
         self._bottom = self.literal(algebra.bottom())
         self._top: Ere | None = None  # the node ``.*``, once ``star`` interns it
 
@@ -153,18 +159,20 @@ class ExprBuilder:
         return node
 
     def _lead(self, r: Ere) -> Lead:
-        """The ``lead`` of the new node ``r``, from the ``lead`` of its parts;
-        ``concat`` sets a concatenation's itself."""
+        """The interned ``lead`` of the new node ``r``, from the ``lead`` of
+        its parts; ``concat`` sets a concatenation's itself."""
         alg, kind = self.algebra, type(r)
-        if kind is Literal:
-            return (r.symbols,), r.symbols
-        if kind is Epsilon:
-            return (), alg.bottom()
         if kind is Star:
             return r.inner.lead
-        if kind is Not:
-            return r.inner.lead[0], alg.top()
-        return _merge(alg.union if kind is Union else alg.intersect, [m.lead for m in r.members])
+        if kind is Literal:
+            lead = (r.symbols,), r.symbols
+        elif kind is Epsilon:
+            lead = (), alg.bottom()
+        elif kind is Not:
+            lead = r.inner.lead[0], alg.top()
+        else:
+            lead = _merge(alg.union if kind is Union else alg.intersect, [m.lead for m in r.members])
+        return self._leads.setdefault(lead, lead)
 
     def epsilon(self) -> Ere:
         return self._intern(("eps",), Epsilon, nullable=True)
@@ -235,7 +243,11 @@ class ExprBuilder:
         node = table.get(key)
         if node is None:
             node = table[key] = Concat(len(table), r.nullable and s.nullable, r, s)
-            node.lead = _merge(self.algebra.union, (r.lead, s.lead)) if r.nullable else r.lead
+            if r.nullable:
+                lead = _merge(self.algebra.union, (r.lead, s.lead))
+                node.lead = self._leads.setdefault(lead, lead)
+            else:
+                node.lead = r.lead
         return node
 
     def star(self, r: Ere) -> Ere:

@@ -67,7 +67,7 @@ def test_diff_of_the_per_layer_metrics():
     assert bench_record.diff_lines(old, new, "per_layer") == [
         "emptiness containment.visited_pairs = 512 count  x1.000",
         "mixed_queries alphabet.scan_steps = 123853 count  x1.000",
-        "mixed_queries alphabet.self_s = 0.0925 s  x0.500",
+        "mixed_queries alphabet.self_s = 0.0925 s  x0.500 (unscaled wall-clock)",
         "mixed_queries share.alphabet = 0.39 ratio  x1.000",
     ]
     # a record written before per-layer metrics were recorded has none
@@ -77,6 +77,29 @@ def test_diff_of_the_per_layer_metrics():
     assert bench_record.diff_lines(new, {"metrics": {}}, "per_layer")[0] == (
         "emptiness containment.visited_pairs: only in the old record"
     )
+
+
+def test_marks_the_per_layer_times_as_unscaled():
+    # the traced run's layer times are raw wall-clock, so their ratio may be
+    # the host's speed; the scaled cli.import_ms and the counts are not marked
+    lines = {
+        "emptiness containment.self_s = 0.3 s",
+        "emptiness containment.shortest_word.s = 0.2 s",
+        "emptiness containment.us_per_pair = 4 us",
+        "emptiness cli.import_ms = 30 ms",
+        "emptiness containment.visited_pairs = 512 count",
+    }
+    old = bench_record.parse_metrics("\n".join(sorted(lines)))
+    new = {w: {n: {**m, "value": 2 * m["value"]} for n, m in ms.items()} for w, ms in old.items()}
+    assert bench_record.diff_lines({"per_layer": old}, {"per_layer": new}, "per_layer") == [
+        "emptiness cli.import_ms = 60 ms  x2.000",
+        "emptiness containment.self_s = 0.6 s  x2.000 (unscaled wall-clock)",
+        "emptiness containment.shortest_word.s = 0.4 s  x2.000 (unscaled wall-clock)",
+        "emptiness containment.us_per_pair = 8 us  x2.000 (unscaled wall-clock)",
+        "emptiness containment.visited_pairs = 1024 count  x2.000",
+    ]
+    # the same metrics compared as end-to-end ones are scaled, so not marked
+    assert not any("unscaled" in line for line in bench_record.diff_lines({"metrics": old}, {"metrics": new}))
 
 
 def test_compares_with_the_newest_earlier_record(tmp_path):

@@ -220,6 +220,49 @@ def test_fuel_exhaustion_is_an_error(b):
     assert err.value.visited == 3
 
 
+def test_fuel_counts_the_pair_past_it_in_both_memo_modes(b):
+    # the root is unfolded; its first branch is the second pair, past fuel 1
+    for global_memo in (True, False):
+        with pytest.raises(FuelExhausted) as err:
+            Checker(b, fuel=1, global_memo=global_memo).check(b.parse("(a|b)*"), b.parse("a*"))
+        assert (err.value.visited, err.value.max_depth) == (2, 1)
+
+
+def test_untraced_checks_render_nothing(b, monkeypatch):
+    # without a trace sink no event is built, so no node and no literal is
+    # rendered, whichever rule answers a pair
+    cases = [
+        ("(a|b)|c", "a|b"),
+        ("a*", "(a|b)*"),
+        ("ab" * 50, "[ab]*"),
+        ("(ab|ba)*", "(aa|bb)*"),
+        ("a&b*", "a"),
+        ("a*b", "[]"),
+        ("a*&!a*", "[]"),
+        ("c*", ".*"),
+    ]
+    modes = [(m, x) for m in (True, False) for x in (True, False)]
+    expected = [
+        Checker(b, global_memo=m, use_axioms=x).check(b.parse(r), b.parse(s))
+        for m, x in modes
+        for r, s in cases
+    ]
+
+    def refuse(*args):
+        raise AssertionError("rendered without a trace sink")
+
+    monkeypatch.setattr(containment, "to_text", refuse)
+    monkeypatch.setattr(b.algebra, "format_set", refuse)
+    fresh = ExprBuilder(b.algebra)
+    for builder in (b, fresh):
+        answers = [
+            Checker(builder, global_memo=m, use_axioms=x).check(builder.parse(r), builder.parse(s))
+            for m, x in modes
+            for r, s in cases
+        ]
+        assert answers == expected
+
+
 def test_shortest_word_fuel_exhaustion_is_an_error(b):
     with pytest.raises(FuelExhausted) as err:
         shortest_word(b, b.parse("abc"), fuel=1)
@@ -388,9 +431,9 @@ def _word_without_abba(n):
 
 def test_memo_tables_stay_flat_over_word_length():
     # a word's suffixes derive through their head literal and share its
-    # partition, so they add no derivative or next-literal entries: the
-    # checks and matches below add the same few entries for a word of 10^3
-    # symbols as for one of 10^4, not one entry per suffix
+    # lead, so they add no derivative, next-literal or pair-class entries:
+    # the checks and matches below add the same few entries for a word of
+    # 10^3 symbols as for one of 10^4, not one entry per suffix
     base = _word_without_abba(10**4)
     growth = {}
     for n in (10**3, 10**4):
@@ -409,7 +452,7 @@ def test_memo_tables_stay_flat_over_word_length():
                 verdict = chk.check(lhs, rhs)
                 assert (verdict.holds, verdict.witness, verdict.stats.visited) == expected
             assert membership(b, word, s) is matched
-            growth[n, pattern] = (len(b.deriv_cache), len(b.next_cache))
+            growth[n, pattern] = (len(b.deriv_cache), len(b.next_cache), len(b.partition_cache))
     for pattern in ("[ab]*", ".*abba.*"):
         assert growth[10**3, pattern] == growth[10**4, pattern]
         assert max(growth[10**3, pattern]) < 50, pattern

@@ -266,10 +266,13 @@ def test_lead_is_set_when_a_node_is_interned():
         for r, s in zip(nodes, nodes[1:] + nodes[:1]):
             Checker(b).check(r, s)
         kinds = set()
+        leads = {}  # the first lead object met of each value
         for n in b._table.values():
             kinds.add(type(n))
             literals = tuple(dict.fromkeys(_leading_literals(n)))
             assert n.lead == (literals, _coverage(alg, n)), repr(n)
+            # leads are interned: nodes with equal leads share one object
+            assert leads.setdefault(n.lead, n.lead) is n.lead, repr(n)
             # a slot, as ``nullable`` is: no node keeps a per-instance dict
             assert not hasattr(n, "__dict__"), type(n)
         if len(texts) > len(_CLASS_TEMPLATES):
@@ -277,6 +280,9 @@ def test_lead_is_set_when_a_node_is_interned():
     # a star and a word share the ``lead`` of their head literal, the object
     b = ExprBuilder(BitsetAlgebra("ab"))
     assert b.parse("a*").lead is b.parse("a").lead is b.parse("ab").lead
+    # and so does a node whose lead is only equal to theirs
+    assert b.parse("a*a").lead is b.parse("a").lead
+    assert b.parse("(a|b)*(a|b)").lead is b.parse("b|a").lead
 
 
 def test_partition_invariants_on_random_expressions():
@@ -384,6 +390,33 @@ def test_partition_memo_runs_each_combination_once(monkeypatch):
     assert verdict.holds and verdict.stats.visited == 4095
     assert len(runs) <= len(b.partition_cache)
     assert len(runs) <= 20
+
+
+def test_pair_classes_are_memoized_by_the_two_leads(monkeypatch):
+    # the classes of a pair are looked up by the identities of its two
+    # leads, so the memo is bounded by the distinct leads, not by the
+    # pairs: all 4095 pairs below have one pair of leads, and only the
+    # first asks for the two sides' partitions
+    partitions = []
+    original = nextlit.next_literals
+
+    def counting(b, r):
+        partitions.append(r)
+        return original(b, r)
+
+    monkeypatch.setattr(nextlit, "next_literals", counting)
+    b = ExprBuilder(BitsetAlgebra("ab"))
+    r = b.parse("(a|b)*a" + "(a|b)" * 9)
+    s = b.union(r, b.parse("(a|b)*b" + "(a|b)" * 9))
+    verdict = Checker(b).check(r, s)
+    assert verdict.holds and verdict.stats.visited == 4095
+    assert partitions == [r, s]
+    # the one partition of each side, and the minterms, the classes and the
+    # lead-keyed classes of that one pair
+    assert (len(b.next_cache), len(b.partition_cache)) == (2, 4)
+    # pairs of nodes with the same two leads share one tuple of classes
+    x, y = b.parse("a*a"), b.parse("b*")
+    assert nextlit.pair_classes(b, x, y) is nextlit.pair_classes(b, b.parse("a"), b.parse("bb"))
 
 
 def test_unfolding_branch_takes_two_symbol_derivatives(monkeypatch):

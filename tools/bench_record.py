@@ -13,7 +13,10 @@ under ``metrics`` and the per-layer metrics of the traced run under
 ``per_layer``.  Then it prints each metric's ratio, new over old, against
 the newest ``BENCH_<m>.json`` with ``m < N`` in the same directory, the
 per-layer ones after a ``per layer:`` line.  A metric that only one of the
-two files has is listed without a ratio.  With the variable set, every
+two files has is listed without a ratio.  The per-layer times (units ``s``
+and ``us``) are wall-clock times of the traced run, not scaled to the
+reference speed as the end-to-end times are, so their ratios also carry
+the host's speed; their lines say so.  With the variable set, every
 fresh process compiles ``src/symre`` from source, so ``setup_s`` and
 ``cli_p50_ms`` of two records compare only if both agree on it; a warning
 says when they do not.  Exits with the worse status of the two runs.
@@ -33,6 +36,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 _LINE = re.compile(r"^(\S+) (\S+) = (\S+) (\S+)$")
 _NAME = re.compile(r"^BENCH_(\d+)\.json$")
+# The units of the per-layer metrics that are unscaled wall-clock times.
+_UNSCALED_UNITS = ("s", "us")
 
 
 def parse_metrics(output: str) -> dict[str, dict[str, dict]]:
@@ -58,7 +63,8 @@ def previous_record(directory: Path, number: int) -> Path | None:
 
 def diff_lines(old: dict, new: dict, key: str = "metrics") -> list[str]:
     """One line per metric under ``key`` of either record: the new value and
-    its ratio to the old.  A record without ``key`` has no such metrics."""
+    its ratio to the old.  A record without ``key`` has no such metrics.
+    The ratio of a per-layer time is marked as unscaled wall-clock."""
     lines = []
     old_m, new_m = old.get(key, {}), new.get(key, {})
     for workload in sorted(set(old_m) | set(new_m)):
@@ -75,6 +81,8 @@ def diff_lines(old: dict, new: dict, key: str = "metrics") -> list[str]:
                 ratio = "=" if value == 0 else "old 0"
             else:
                 ratio = f"x{value / base:.3f}"
+                if key == "per_layer" and unit in _UNSCALED_UNITS:
+                    ratio += " (unscaled wall-clock)"
             lines.append(f"{workload} {name} = {value:.6g} {unit}  {ratio}")
     return lines
 
