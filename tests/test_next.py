@@ -411,8 +411,8 @@ def test_pair_classes_are_memoized_by_the_two_leads(monkeypatch):
     verdict = Checker(b).check(r, s)
     assert verdict.holds and verdict.stats.visited == 4095
     assert partitions == [r, s]
-    # the one partition of each side, and the minterms, the classes and the
-    # lead-keyed classes of that one pair
+    # a partition per side, from one minterms entry each, and the classes
+    # of the one pair of leads: by value and by the leads' identities
     assert (len(b.next_cache), len(b.partition_cache)) == (2, 4)
     # pairs of nodes with the same two leads share one tuple of classes
     x, y = b.parse("a*a"), b.parse("b*")
