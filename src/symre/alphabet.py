@@ -97,6 +97,11 @@ class Algebra:
         """Least symbol of a non-empty set; deterministic for equal sets."""
         raise NotImplementedError
 
+    def singleton(self, a: SymbolSet):
+        """The one symbol of ``a`` when it has exactly one, else ``None``;
+        an algebra without a cheap test answers ``None``."""
+        return None
+
     def symbol_key(self, symbol):
         """Sort key realizing the algebra's total order on symbols; for
         characters, codepoint order."""
@@ -282,6 +287,11 @@ class BitsetAlgebra(Algebra):
         low = a.mask & -a.mask
         return self.symbols[low.bit_length() - 1]
 
+    def singleton(self, a: BitSet) -> str | None:
+        self._own(a)
+        mask = a.mask
+        return self.symbols[mask.bit_length() - 1] if mask and not mask & (mask - 1) else None
+
     def class_set(self, items: Sequence[tuple[int, int]], negate: bool) -> BitSet:
         ivs = merge_intervals(items)
         mask = 0
@@ -354,6 +364,11 @@ class IntervalAlgebra(_CodepointAlgebra):
         if not a.intervals:
             raise AlgebraError("cannot pick a witness from the empty set")
         return chr(a.intervals[0][0])
+
+    def singleton(self, a: IntervalSet) -> str | None:
+        self._own(a)
+        ivs = a.intervals
+        return chr(ivs[0][0]) if len(ivs) == 1 and ivs[0][0] == ivs[0][1] else None
 
     def class_set(self, items: Sequence[tuple[int, int]], negate: bool) -> IntervalSet:
         s = IntervalSet(self, _clip(self, items))
@@ -551,6 +566,17 @@ class FiniteCofiniteAlgebra(_CodepointAlgebra):
                 break
         self.scan_steps += cp - self.min_codepoint + 1
         return chr(cp)
+
+    def singleton(self, a: FcSet) -> str | None:
+        # A canonical cofinite set has one symbol only over a one-symbol
+        # universe, where it is ``top``.
+        self._own(a)
+        if a.cofinite:
+            return chr(self.min_codepoint) if self.size == 1 else None
+        if len(a.members) != 1:
+            return None
+        k, w = a.members[0]
+        return chr(k * BLOCK_BITS + w.bit_length() - 1) if not w & (w - 1) else None
 
     def class_set(self, items: Sequence[tuple[int, int]], negate: bool) -> FcSet:
         # Any class is accepted: a block of ``BLOCK_BITS`` codepoints is one word.

@@ -14,9 +14,16 @@ Four fast-path axioms close a pair before it is unfolded: identity, the
 universal right side ``.*``, a left intersection among whose members is
 every conjunct of the right side (``L(r & s)`` is contained in ``L(r)``),
 and an empty right side, which the shortest-word search of the left side
-decides either way.  They never change a verdict, only the statistics.  A
-``[]`` or ``()`` left side has no next literals, so the unfolding closes
-its pair in the one visit that opens it, with no axiom.
+decides either way.  A fifth, the word fold, is tried at the first pair of
+a check only: when the left side starts with literals of one symbol each,
+it derives the right side by each symbol (Brzozowski's membership test)
+until that side is ``.*`` or ``[]`` or the left side is used up.  Every
+pair along such a word has one class, so the fold reaches the answer that
+the unfolding reaches along the same pairs, at one derivative per symbol.
+Below the root each pair of the word would fold the rest of it again.  The
+axioms never change a verdict, only the statistics.  A ``[]`` or ``()``
+left side has no next literals, so the unfolding closes its pair in the one
+visit that opens it, with no axiom.
 A traced check renders each node once: its events share one map of node
 texts, so each pair costs its new nodes only.  An untraced check builds no
 event and renders nothing.
@@ -33,14 +40,15 @@ from collections.abc import Callable, Iterable, Sequence
 
 from .derivative import deriv_symbol, deriv_word, partial_derivatives
 from .nextlit import next_literals, pair_classes
-from .syntax import And, Ere, ExprBuilder, to_text
+from .syntax import And, Concat, Ere, ExprBuilder, Literal, to_text
 
 DEFAULT_FUEL = 1 << 20
 
 TraceSink = Callable[[dict], None]
 
 # Each rule of a trace, and the verdict it closes its pair with; ``unfold``
-# closes nothing, it opens the pair's branches.
+# closes nothing, it opens the pair's branches.  ``prove-word`` and
+# ``disprove-word`` are the word fold's, at the first pair of a check only.
 TRACE_RULES = {
     "disprove": False,
     "cycle": True,
@@ -50,6 +58,8 @@ TRACE_RULES = {
     "prove-conjunct": True,
     "disprove-empty": False,
     "prove-empty-language": True,
+    "prove-word": True,
+    "disprove-word": False,
 }
 
 
@@ -174,7 +184,9 @@ class Checker:
 
         One loop visits the pairs depth first.  Disprove, the axioms and
         cycle detection answer a pair; otherwise it is unfolded, and its
-        frame steps through its branches.
+        frame steps through its branches.  The word fold is tried at the
+        first pair only, after the other axioms, and a root that does not
+        start with a literal costs it only type tests.
         """
         b = self.builder
         trace, fuel, use_axioms = self.trace, self.fuel, self.use_axioms
@@ -208,6 +220,10 @@ class Checker:
                 elif rhs is bottom:
                     tail = shortest_word(b, lhs, fuel)
                     rule = "prove-empty-language" if tail is None else "disprove-empty"
+                elif visited == 1 and (
+                    type(lhs) is Literal or type(lhs) is Concat and type(lhs.head) is Literal
+                ):
+                    rule, tail = self._fold_word(lhs, rhs, top, bottom)
             if rule is None:
                 pair = (lhs.eid, rhs.eid)
                 if pair in assumed:
@@ -246,6 +262,41 @@ class Checker:
         # each open frame's current branch.
         prefix = tuple(branches[nxt - 1][1] for _, _, branches, nxt in frames)
         return Verdict(False, b.algebra.word_of(prefix + tuple(tail)), stats)
+
+    def _fold_word(self, r: Ere, s: Ere, top: Ere, bottom: Ere) -> tuple:
+        """The rule that decides whether ``r`` is contained in ``s`` along the
+        word that ``r`` starts with, and the symbols of a refuting word; or
+        ``(None, None)``.
+
+        The walk follows the spine of ``r`` while each head is a literal of
+        one symbol, and derives ``s`` by each symbol.  It stops when ``s``
+        becomes ``.*``, which proves the pair; or ``[]``, which leaves the
+        rest of ``r`` to the emptiness search; or when ``r`` is used up, so
+        that it is one word, in ``s`` iff what is left of ``s`` is
+        nullable.  A walk that meets anything else decides nothing.  ``top``
+        and ``bottom`` are the builder's ``.*`` and ``[]``.
+        """
+        b = self.builder
+        single = b.algebra.singleton
+        syms: dict = {}  # the symbol of each head literal met, as a word has few
+        word = []
+        while True:
+            head, rest = (r.head, r.tail) if type(r) is Concat else (r, None)
+            a = syms.get(head)
+            if a is None:
+                a = syms[head] = single(head.symbols) if type(head) is Literal else None
+                if a is None:
+                    return None, None
+            word.append(a)
+            s = deriv_symbol(b, a, s)
+            if rest is None:
+                return ("prove-word", None) if s.nullable else ("disprove-word", word)
+            if s is top:
+                return "prove-word", None
+            if s is bottom:
+                tail = shortest_word(b, rest, self.fuel)
+                return ("prove-word", None) if tail is None else ("disprove-word", word + list(tail))
+            r = rest
 
     def _event(self, texts: dict, rule: str, lhs: Ere, rhs: Ere, literal, depth: int) -> dict:
         """The trace event of ``rule`` at the pair, with node texts kept in ``texts``."""

@@ -12,6 +12,7 @@ from symre.alphabet import (
     merge_intervals,
 )
 from symre.containment import Checker, membership
+from symre.regexalg import RegexAlgebra
 from symre.syntax import ExprBuilder, parse_class_text
 
 BITS = BitsetAlgebra("abcdefgh")
@@ -78,6 +79,46 @@ def test_pick_witness_is_member(case):
             alg.pick_witness(a)
     else:
         assert alg.contains(a, alg.pick_witness(a))
+
+
+@given(law_cases)
+def test_singleton_is_the_one_member(case):
+    # the symbol of a set of exactly one symbol, and None for any other set
+    alg, a, _, _ = case
+    one = None
+    if not alg.is_empty(a):
+        x = alg.pick_witness(a)
+        rest = alg.intersect(a, alg.complement(alg.class_set([(ord(x), ord(x))], False)))
+        one = x if alg.is_empty(rest) else None
+    assert alg.singleton(a) == one
+
+
+def test_singleton_examples():
+    abc = BitsetAlgebra("abc")
+    assert abc.singleton(abc.from_chars("b")) == "b"
+    assert abc.singleton(abc.bottom()) is None
+    assert abc.singleton(abc.from_chars("ac")) is None
+    lone = BitsetAlgebra("a")
+    assert lone.singleton(lone.top()) == "a"
+    uni = IntervalAlgebra()
+    assert uni.singleton(uni.class_set([(ord("c"), ord("c"))], False)) == "c"
+    assert uni.singleton(uni.class_set([(ord("a"), ord("c"))], False)) is None
+    assert uni.singleton(uni.class_set([(97, 97), (99, 99)], False)) is None
+    assert uni.singleton(uni.bottom()) is None
+    point = IntervalAlgebra(0x4E00, 0x4E00)
+    assert point.singleton(point.top()) == "\u4e00"
+    fc = FiniteCofiniteAlgebra()
+    assert fc.singleton(fc.finite("\u4e00")) == "\u4e00"
+    assert fc.singleton(fc.finite("\U0001F600")) == "\U0001F600"
+    assert fc.singleton(fc.finite("a\u4e00")) is None  # two blocks
+    assert fc.singleton(fc.bottom()) is None
+    assert fc.singleton(fc.top()) is None
+    one = FiniteCofiniteAlgebra(97, 97)
+    top = one.top()
+    assert top.cofinite and one.singleton(top) == "a"
+    regex = RegexAlgebra("ab")
+    assert regex.singleton(regex.set_of("a")) is None
+    assert regex.singleton(regex.top()) is None
 
 
 def test_bottom_and_top():

@@ -141,6 +141,9 @@ def _traced(b, lhs, rhs):
         (f"{A}&{B}&{C}", f"{A}&{C}", "prove-conjunct"),
         (f"{R_LANG}&{NOT_R}", "[]", "prove-empty-language"),
         ("(a!b)" * 50, ".*", "prove-universal"),
+        ("abcab", ".*ab", "prove-word"),
+        ("abba(a|b|c)*", ".*abba.*", "prove-word"),
+        ("c(a&b)", "[ab]*", "prove-word"),
     ],
 )
 def test_axiom_closes_the_root_pair(b, lhs, rhs, rule):
@@ -178,23 +181,26 @@ def test_axioms_only_change_statistics(b):
 def test_traced_checks_render_each_node_once(b, monkeypatch):
     # the events of one check share each node's text: every side reads as
     # to_text renders it, and each distinct node under the sides is
-    # rendered once, however many events name it
-    rendered, sides = [], []
+    # rendered once, however many events name it; a leading [ab] keeps the
+    # word fold off, so the 400-symbol word is unfolded pair by pair, and
+    # the plain word is the fold's one event
     text_of, render = syntax._text_of, containment.to_text
-    monkeypatch.setattr(syntax, "_text_of", lambda r, *rest: rendered.append(r) or text_of(r, *rest))
-    monkeypatch.setattr(containment, "to_text", lambda r, texts: sides.append(r) or render(r, texts))
-    events = []
-    verdict = Checker(b, trace=events.append).check(b.parse("ab" * 200), b.parse("[ab]*"))
-    assert verdict.holds and len(events) == 401
-    steps = len(rendered)
-    distinct, todo = set(), list(sides)
-    while todo:
-        node = todo.pop()
-        if node not in distinct:
-            distinct.add(node)
-            todo += syntax._parts(node, True)
-    assert steps == len(distinct) < 500
-    assert [t for e in events for t in (e["lhs"], e["rhs"])] == [to_text(r) for r in sides]
+    for lhs, count in (("[ab]" + "ab" * 200, 402), ("ab" * 200, 1)):
+        rendered, sides = [], []
+        monkeypatch.setattr(syntax, "_text_of", lambda r, *rest: rendered.append(r) or text_of(r, *rest))
+        monkeypatch.setattr(containment, "to_text", lambda r, texts: sides.append(r) or render(r, texts))
+        events = []
+        verdict = Checker(b, trace=events.append).check(b.parse(lhs), b.parse("[ab]*"))
+        assert verdict.holds and verdict.stats.visited == len(events) == count
+        steps = len(rendered)
+        distinct, todo = set(), list(sides)
+        while todo:
+            node = todo.pop()
+            if node not in distinct:
+                distinct.add(node)
+                todo += syntax._parts(node, True)
+        assert steps == len(distinct) < 500
+        assert [t for e in events for t in (e["lhs"], e["rhs"])] == [to_text(r) for r in sides]
 
 
 # -- cycles and termination -----------------------------------------------------------
@@ -353,13 +359,17 @@ def test_trace_replay_matches_verdict_on_random_pairs():
 
 @pytest.mark.parametrize("rhs,holds", [("[ab]*", True), ("[ab]*a", False)])
 def test_deep_traces_replay_to_their_verdicts(rhs, holds):
-    # over abc, [ab]* is not .*, which the universal axiom closes at once
+    # over abc, [ab]* is not .*, which the universal axiom closes at once;
+    # a leading [ab] keeps the word fold off, so the 5000-symbol word is
+    # unfolded pair by pair, and the plain word is the fold's one event
     b = ExprBuilder(BitsetAlgebra("abc"))
-    events = []
-    verdict = Checker(b, trace=events.append).check(b.parse("ab" * 2500), b.parse(rhs))
-    assert verdict.holds == holds
-    assert len(events) == 5001 and events[-1]["depth"] == 5000
-    assert replay_trace(events) == holds
+    for lhs, count in (("[ab]" + "ab" * 2500, 5002), ("ab" * 2500, 1)):
+        events = []
+        verdict = Checker(b, trace=events.append).check(b.parse(lhs), b.parse(rhs))
+        assert verdict.holds == holds
+        assert verdict.stats.visited == len(events) == count
+        assert events[-1]["depth"] == verdict.stats.max_depth == count - 1
+        assert replay_trace(events) == holds
 
 
 # -- equivalence --------------------------------------------------------------------
@@ -433,29 +443,33 @@ def test_memo_tables_stay_flat_over_word_length():
     # a word's suffixes derive through their head literal and share its
     # lead, so they add no derivative, next-literal or pair-class entries:
     # the checks and matches below add the same few entries for a word of
-    # 10^3 symbols as for one of 10^4, not one entry per suffix
+    # 10^3 symbols as for one of 10^4, not one entry per suffix.  A leading
+    # [ab] keeps the word fold off, so that word is unfolded pair by pair;
+    # the plain word is decided by the fold in one pair
     base = _word_without_abba(10**4)
     growth = {}
     for n in (10**3, 10**4):
         word = base[:n]
-        # the pattern, whether it matches, and the verdicts of word <= pattern
-        # and pattern <= word with their visited pairs
-        for pattern, matched, forward, backward in (
-            ("[ab]*", True, (True, None, n + 1), (False, "", 1)),
-            (".*abba.*", False, (False, word, n + 1), (False, "\0abba", 2)),
-        ):
-            b = ExprBuilder(IntervalAlgebra())
-            r, s = b.parse(word), b.parse(pattern)
-            assert not b.deriv_cache and not b.next_cache
-            chk = Checker(b)
-            for lhs, rhs, expected in ((r, s, forward), (s, r, backward)):
-                verdict = chk.check(lhs, rhs)
-                assert (verdict.holds, verdict.witness, verdict.stats.visited) == expected
-            assert membership(b, word, s) is matched
-            growth[n, pattern] = (len(b.deriv_cache), len(b.next_cache), len(b.partition_cache))
-    for pattern in ("[ab]*", ".*abba.*"):
-        assert growth[10**3, pattern] == growth[10**4, pattern]
-        assert max(growth[10**3, pattern]) < 50, pattern
+        for lead, steps, first in (("[ab]", n + 2, "a"), ("", 1, "")):
+            # the pattern, whether it matches, and the verdicts of
+            # lhs <= pattern and pattern <= lhs with their visited pairs
+            for pattern, matched, forward, backward in (
+                ("[ab]*", True, (True, None, steps), (False, "", 1)),
+                (".*abba.*", False, (False, first + word, steps), (False, "\0abba", 2)),
+            ):
+                b = ExprBuilder(IntervalAlgebra())
+                r, s = b.parse(lead + word), b.parse(pattern)
+                assert not b.deriv_cache and not b.next_cache
+                chk = Checker(b)
+                for lhs, rhs, expected in ((r, s, forward), (s, r, backward)):
+                    verdict = chk.check(lhs, rhs)
+                    assert (verdict.holds, verdict.witness, verdict.stats.visited) == expected
+                assert membership(b, word, s) is matched
+                growth[n, lead, pattern] = (len(b.deriv_cache), len(b.next_cache), len(b.partition_cache))
+    for lead in ("[ab]", ""):
+        for pattern in ("[ab]*", ".*abba.*"):
+            assert growth[10**3, lead, pattern] == growth[10**4, lead, pattern]
+            assert max(growth[10**3, lead, pattern]) < 50, pattern
 
 
 def test_long_chain_of_nullable_heads_gets_a_verdict():
@@ -537,6 +551,67 @@ def test_symbols_outside_the_universe_are_in_no_language(alg):
         assert deriv_symbol(b, "z", r) is b.bottom(), text
         assert not membership(b, "z", r), text
         assert not membership(b, "zz", r), text
+
+
+# The rests that follow a word on a left side: none, rests that are no word,
+# and a rest whose language is empty.
+FOLD_RESTS = ("", "(a|b)*", "[ab]", "c*a", "(a&b)")
+FOLD_RULES = ("prove-word", "disprove-word")
+
+
+def test_word_fold_agrees_with_the_unfolding():
+    # the fold decides a first pair whose left side starts with a word with
+    # the verdict and witness that the unfolding finds along the same pairs,
+    # in one visited pair and one event, and a left side that is one word is
+    # always decided so
+    rng = random.Random(31)
+    gen = BitsetAlgebra("abc")
+    rights = list(LONG_WORD_PATTERNS)
+    rights += [raw_text(random_raw(rng, gen, 8, C3_WEIGHTS)) for _ in range(12)]
+    for spec in ("bitset:abc", "unicode", "cofinite"):
+        b = ExprBuilder(make_algebra(spec))
+        words = ["".join(rng.choice("abc") for _ in range(rng.randint(0, 12))) for _ in range(8)]
+        words.append("".join(rng.choice("ab") for _ in range(1000)))
+        folds = dict.fromkeys(FOLD_RESTS, 0)
+        for word in words:
+            for rest in FOLD_RESTS:
+                r = b.parse(word + rest or "()")
+                for text in rights:
+                    s = b.parse(text)
+                    expected = Checker(b, use_axioms=False).check(r, s)
+                    for global_memo in (True, False):
+                        events = []
+                        verdict = Checker(b, global_memo=global_memo, trace=events.append).check(r, s)
+                        assert (verdict.holds, verdict.witness) == (expected.holds, expected.witness)
+                        assert replay_trace(events) == verdict.holds
+                        assert (verdict.stats.visited == 1) == (len(events) == 1)
+                        folded = events[0]["rule"] in FOLD_RULES
+                        assert all(e["rule"] not in FOLD_RULES for e in events[folded:])
+                        assert not folded or verdict.stats == CheckStats(1, 0)
+                        if word and not rest:
+                            assert verdict.stats.visited == 1, (spec, word, text)
+                        folds[rest] += folded
+        assert all(folds.values()), (spec, folds)
+
+
+def test_fuel_keeps_its_meaning_under_the_word_fold():
+    # the fold visits one pair, however long the word; the unfolding counts
+    # one pair per symbol
+    b = ExprBuilder(BitsetAlgebra("abc"))
+    word, pattern = b.parse("ab" * 500), b.parse("[ab]*")
+    assert Checker(b, fuel=100).check(word, pattern) == (True, None, CheckStats(1, 0))
+    with pytest.raises(FuelExhausted):
+        Checker(b, fuel=100, use_axioms=False).check(word, pattern)
+    # a rest left to the emptiness search spends that search's fuel, and
+    # names its units, as disprove-empty does
+    rest = "[ab][ab][ab][ab]*"
+    errors = []
+    for lhs, rhs in (("c" + rest, "[ab]*"), (rest, "[]")):
+        fresh = ExprBuilder(BitsetAlgebra("abc"))
+        with pytest.raises(FuelExhausted, match="emptiness-search nodes") as err:
+            Checker(fresh, fuel=2).check(fresh.parse(lhs), fresh.parse(rhs))
+        errors.append((err.value.visited, err.value.max_depth))
+    assert errors[0] == errors[1] == (3, 2)
 
 
 # -- shortest word -----------------------------------------------------------------
