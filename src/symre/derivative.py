@@ -45,7 +45,7 @@ from collections.abc import Iterable
 from itertools import product
 
 from .alphabet import AlgebraError, SymbolSet
-from .nextlit import _combine, minterms, next_literals
+from .nextlit import minterms, next_literals
 from .syntax import And, Concat, Epsilon, Ere, ExprBuilder, Literal, Not, Star, Union
 
 _FLIP = {"pos": "neg", "neg": "pos"}
@@ -231,10 +231,9 @@ def refines_next(b: ExprBuilder, a_set: SymbolSet, r: Ere) -> bool:
     """True when ``a_set`` fits inside one next literal of ``r`` or misses all.
 
     That is, when the members of ``r``'s partition cut ``a_set`` into at
-    most one minterm; the empty set has none, so it refines vacuously.  The
-    minterms are memoized with the partitions (see ``nextlit._combine``).
+    most one minterm; the empty set has none, so it refines vacuously.
     """
-    return len(_combine(b, minterms, a_set, next_literals(b, r))) <= 1
+    return len(minterms(b.algebra, a_set, next_literals(b, r))) <= 1
 
 
 def deriv_word(b: ExprBuilder, word: Iterable, r: Ere) -> Ere:

@@ -22,33 +22,29 @@ Both are facts of the node, like its nullability: the builder sets them
 as ``Ere.lead`` when it interns the node, from the ``lead`` of its
 parts, and interns the lead itself, so nodes with equal leads share one
 ``lead`` object.  A star, and a concatenation whose head is not nullable,
-share the ``lead`` of the node below them.  So a concatenation whose head
-is not nullable has its head's partition, the same object, and
-``next_literals`` keeps no entry for it in ``ExprBuilder.next_cache``:
-every suffix of a word shares the entry of its head literal.
+share the ``lead`` of the node below them.  ``next_literals`` therefore
+keeps one entry per lead in ``ExprBuilder.next_cache``, keyed by the
+lead's identity: every suffix of a word shares the entry of its head
+literal.
 
-The minterms, and the classes of an inequality with their witnesses
-(``pair_classes``), are pure functions of a few symbol sets, and the
-unfolding meets only a handful of distinct arguments while it visits
-thousands of pairs.  They therefore go through ``_combine``,
-which memoizes the result per builder (``ExprBuilder.partition_cache``)
-keyed by the operation and its two arguments by value.  Symbol sets
-compare equal only within one algebra instance, so a set from another
-algebra never hits an entry and is still rejected by the operation itself.
-As a partition is a function of the lead alone, ``pair_classes`` also
-keeps the classes of each inequality in ``partition_cache`` keyed by the
-identities of the two sides' leads: a pair whose two leads were met
-together before costs one lookup, with no ``next_literals`` call and no
-hash of a partition.  The public combinators ``join``, ``left_join`` and
-``meet`` stay pure and unmemoized.
+The classes of an inequality with their witnesses (``pair_classes``) are
+a function of the two sides' leads, and the unfolding meets only a
+handful of distinct leads while it visits thousands of pairs.
+``pair_classes`` keeps them in ``ExprBuilder.partition_cache`` keyed by
+the identities of the two leads: a pair whose two leads were met together
+before costs one lookup, with no ``next_literals`` call.  On a miss it
+looks the two partitions up in the same table by value first, as distinct
+leads can have equal partitions (one lead-pair miss in ten hits it over
+the ``mixed_queries`` bench corpus).  The public combinators ``join``,
+``left_join`` and ``meet`` stay pure and unmemoized.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 
 from .alphabet import Algebra, SymbolSet
-from .syntax import Concat, Ere, ExprBuilder
+from .syntax import Ere, ExprBuilder
 
 Partition = tuple[SymbolSet, ...]
 
@@ -113,25 +109,13 @@ def minterms(alg: Algebra, coverage: SymbolSet, literals: tuple[SymbolSet, ...])
     return canonical_partition(alg, pieces)
 
 
-def _combine(b: ExprBuilder, op: Callable, left, right):
-    """``op(b.algebra, left, right)``, memoized per builder by value."""
-    key = (op, left, right)
-    out = b.partition_cache.get(key)
-    if out is None:
-        out = op(b.algebra, left, right)
-        b.partition_cache[key] = out
-    return out
-
-
 def next_literals(b: ExprBuilder, r: Ere) -> Partition:
     """The next-literal partition of ``r``: the minterms of its leading
-    literals inside its coverage, memoized per node."""
-    if type(r) is Concat and not r.head.nullable:
-        r = r.head  # the same leading literals and coverage, so the same partition
-    out = b.next_cache.get(r.eid)
+    literals inside its coverage, memoized per lead."""
+    out = b.next_cache.get(id(r.lead))
     if out is None:
         literals, coverage = r.lead
-        out = b.next_cache[r.eid] = _combine(b, minterms, coverage, literals)
+        out = b.next_cache[id(r.lead)] = minterms(b.algebra, coverage, literals)
     return out
 
 
@@ -160,15 +144,17 @@ def pair_classes(b: ExprBuilder, r: Ere, s: Ere) -> tuple[Branch, ...]:
     branch of the unfolding derives both sides by that symbol.
 
     Memoized by the identities of the two leads, which the builder keeps
-    alive (see ``ExprBuilder``): each side's partition is a function of its
-    lead, and a concatenation redirected to its head has the head's lead.
+    alive (see ``ExprBuilder``), as each side's partition is a function of
+    its lead; a miss first looks the two partitions up by value.
     """
     key = (id(r.lead), id(s.lead))
     out = b.partition_cache.get(key)
     if out is None:
-        out = b.partition_cache[key] = _combine(
-            b, witnessed_left_join, next_literals(b, r), next_literals(b, s)
-        )
+        parts = (next_literals(b, r), next_literals(b, s))
+        out = b.partition_cache.get(parts)
+        if out is None:
+            out = b.partition_cache[parts] = witnessed_left_join(b.algebra, *parts)
+        b.partition_cache[key] = out
     return out
 
 

@@ -129,14 +129,13 @@ class ExprBuilder:
         # Memo tables used by the parser and by the derivative, next-literal
         # and emptiness operations.  ``parse_cache`` maps a text that parsed
         # to its node (see ``parse``).  ``deriv_cache`` maps a probe and an
-        # eid to the derivative, and ``next_cache`` an eid to its
-        # next-literal partition, the minterms of the node's ``lead``; as
-        # the unfolding steps down a word, its suffixes make no entry in
-        # either: each derives through its head literal's entry and shares
-        # its partition (see ``derivative`` and ``nextlit``).
-        # ``partition_cache`` maps a partition operation and its two
-        # arguments, by value, to its result (see ``nextlit._combine``),
-        # and the ids of two leads to the classes of an inequality between
+        # eid to the derivative, and ``next_cache`` the id of a ``lead`` to
+        # the next-literal partition of the nodes with that lead, its
+        # minterms; as the unfolding steps down a word, its suffixes make
+        # no entry in either: each derives through its head literal's
+        # entry and shares its lead (see ``derivative`` and ``nextlit``).
+        # ``partition_cache`` maps the ids of two leads, and the two
+        # partitions by value, to the classes of an inequality between
         # nodes with those leads (see ``nextlit.pair_classes``); ``_leads``
         # maps each lead to its one interned object, and keeps it alive, so
         # its id is never reused while the builder lives.  ``word_cache``
@@ -572,8 +571,11 @@ def _set_atom(text: str, pos: int, algebra: Algebra) -> tuple[SymbolSet, int]:
     if text[pos] == ".":
         return algebra.top(), pos + 1
     if text[pos] != "[":
-        c, pos = _char(text, pos)
-        return _char_set(algebra, c), pos
+        c, after = _char(text, pos)
+        out = _char_set(algebra, c)
+        if algebra.is_empty(out):  # as ``_char_literal`` rejects it
+            raise ParseError(f"symbol {c!r} is not in the alphabet", pos)
+        return out, after
     pos += 1
     negate = text.startswith("^", pos)
     pos += negate

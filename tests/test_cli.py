@@ -307,6 +307,12 @@ def test_symbol_outside_a_finite_alphabet_is_a_parse_error(capsys):
     code, out, err = run(capsys, "check", *ABC, "a{2}", "b")
     assert code == 2 and not out
     assert "symbol '{' is not in the alphabet (at position 1)" in err
+    # and so is the symbol a derivative is taken by; ``[{]`` is the empty class
+    code, out, err = run(capsys, "derive", *ABC, "--by", "{", "a")
+    assert code == 2 and not out
+    assert "symbol '{' is not in the alphabet (at position 0)" in err
+    code, out, err = run(capsys, "derive", *ABC, "--by", "[{]", "a")
+    assert code == 2 and "cannot derive by the empty class" in err
     # over unicode, a{2} is the four-symbol word
     code, out, _ = run(capsys, "match", "a{2}", "a{2}")
     assert code == 0 and out == "MATCH\n"

@@ -275,6 +275,12 @@ def test_lead_is_set_when_a_node_is_interned():
             assert leads.setdefault(n.lead, n.lead) is n.lead, repr(n)
             # a slot, as ``nullable`` is: no node keeps a per-instance dict
             assert not hasattr(n, "__dict__"), type(n)
+        # one partition per lead object: nodes with the same lead share it
+        partitions = {}
+        for n in list(b._table.values()):
+            part = next_literals(b, n)
+            assert partitions.setdefault(id(n.lead), part) is part, repr(n)
+        assert len(b.next_cache) == len(partitions) == len(leads)
         if len(texts) > len(_CLASS_TEMPLATES):
             assert kinds == {Epsilon, Literal, Union, Concat, Star, And, Not}
     # a star and a word share the ``lead`` of their head literal, the object
@@ -372,8 +378,9 @@ def test_finiteness_bound_on_exponential_family():
 
 
 def test_partition_memo_runs_each_combination_once(monkeypatch):
-    # the unfolding meets a handful of distinct partitions at thousands of
-    # pairs; each combination of two of them is computed once per builder
+    # the unfolding meets a handful of distinct leads at thousands of
+    # pairs; the minterms run once per distinct lead, and the classes once
+    # per distinct pair of partitions
     runs = []
     for name in ("join", "left_join", "meet", "minterms", "witnessed_left_join"):
         original = getattr(nextlit, name)
@@ -388,8 +395,7 @@ def test_partition_memo_runs_each_combination_once(monkeypatch):
     s = b.union(r, b.parse("(a|b)*b" + "(a|b)" * 9))
     verdict = Checker(b).check(r, s)
     assert verdict.holds and verdict.stats.visited == 4095
-    assert len(runs) <= len(b.partition_cache)
-    assert len(runs) <= 20
+    assert runs == ["minterms", "minterms", "witnessed_left_join"]
 
 
 def test_pair_classes_are_memoized_by_the_two_leads(monkeypatch):
@@ -411,9 +417,9 @@ def test_pair_classes_are_memoized_by_the_two_leads(monkeypatch):
     verdict = Checker(b).check(r, s)
     assert verdict.holds and verdict.stats.visited == 4095
     assert partitions == [r, s]
-    # a partition per side, from one minterms entry each, and the classes
-    # of the one pair of leads: by value and by the leads' identities
-    assert (len(b.next_cache), len(b.partition_cache)) == (2, 4)
+    # a partition per side's lead, and the classes of the one pair of
+    # leads: by the two partitions' values and by the leads' identities
+    assert (len(b.next_cache), len(b.partition_cache)) == (2, 2)
     # pairs of nodes with the same two leads share one tuple of classes
     x, y = b.parse("a*a"), b.parse("b*")
     assert nextlit.pair_classes(b, x, y) is nextlit.pair_classes(b, b.parse("a"), b.parse("bb"))
@@ -485,8 +491,8 @@ def test_partition_memo_answers_as_a_fresh_builder():
 
 
 def test_partition_memo_rejects_foreign_sets():
-    # sets of another algebra instance never equal memoized ones, so they
-    # still reach the set operations, which reject them
+    # a set of another algebra instance reaches the set operations, which
+    # reject it
     b = ExprBuilder(BitsetAlgebra("abc"))
     r = b.parse("a|b")
     assert refines_next(b, b.algebra.from_chars("a"), r)

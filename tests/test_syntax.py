@@ -599,6 +599,14 @@ def test_parse_class_text(b):
     with pytest.raises(ParseError) as err:
         parse_class_text("", b.algebra)
     assert str(err.value) == "expected a character class (at position 0)"
+    # a bare symbol outside a finite alphabet is rejected as the parser
+    # rejects it; a class of such symbols is the empty class
+    ab = BitsetAlgebra("ab")
+    for text in ("c", "\\c"):
+        with pytest.raises(ParseError) as err:
+            parse_class_text(text, ab)
+        assert str(err.value) == "symbol 'c' is not in the alphabet (at position 0)", text
+    assert ab.is_empty(parse_class_text("[c]", ab))
 
 
 def test_unescape_word():
