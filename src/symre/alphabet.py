@@ -22,8 +22,8 @@ denotation built by the same algebra compare (and hash) equal.  Each is a
 named tuple whose field 0 is its algebra, so equality and hashing are
 tuple's own: a set equals a plain tuple with the same fields, and sets of
 two algebra instances never compare equal.  No memo key of the same shape
-can collide with a set: the operation keys of
-``FiniteCofiniteAlgebra._memo`` start with a ``str``.
+can collide with a set: the only other keys of
+``FiniteCofiniteAlgebra._memo``, its class keys, start with a ``str``.
 """
 
 from __future__ import annotations
@@ -444,15 +444,17 @@ class FiniteCofiniteAlgebra(_CodepointAlgebra):
     adds the universe size, and a cofinite witness adds its index in the
     universe plus one.
 
-    The algebra pays for each distinct set and operation once: ``_memo``
+    The algebra pays for each distinct set and class once: ``_memo``
     interns every set, so equal denotations are one object, and maps each
-    class (by its clipped ranges and negation) and each ``union`` and
-    ``intersect`` (by operands) to its result.  It is a plain dict that
-    lives as long as the algebra, like the builder's memos, and like the
-    builder the algebra is not thread-safe.  A set of another algebra
-    never equals a key, so it misses the memo and ``_own`` rejects it.
-    There is no limit on a class: the full range is one word per block,
-    and is stored as the empty cofinite set.
+    class (by its clipped ranges and negation) to its set.  A ``union`` or
+    ``intersect`` keeps no memo: a key would hash both operands' words,
+    which on large sets costs about as much as the operation.  Since sets
+    are interned, it answers ``a | a``, ``a & a``, ``[] | b`` and
+    ``. & b`` by identity and a tag test, and computes any other result
+    from the words.  The memo is a plain dict that lives as long as the
+    algebra, like the builder's memos, and like the builder the algebra is
+    not thread-safe.  There is no limit on a class: the full range is one
+    word per block, and is stored as the empty cofinite set.
     """
 
     def __init__(self, min_codepoint: int = 0, max_codepoint: int = MAX_CODEPOINT):
@@ -496,36 +498,28 @@ class FiniteCofiniteAlgebra(_CodepointAlgebra):
         return self._make(True, self._symbols(excluded))
 
     def union(self, a: FcSet, b: FcSet) -> FcSet:
-        key = ("|", a, b)
-        out = self._memo.get(key)
-        if out is None:
-            self._own(a, b)
-            if a.cofinite and b.cofinite:
-                out = self._make(True, _and_words(a.members, b.members))
-            elif a.cofinite:
-                out = self._make(True, _minus_words(a.members, b.members))
-            elif b.cofinite:
-                out = self._make(True, _minus_words(b.members, a.members))
-            else:
-                out = self._make(False, _or_words(a.members, b.members))
-            self._memo[key] = out
-        return out
+        self._own(a, b)
+        if a is b or not (a.cofinite or a.members):
+            return b
+        if a.cofinite and b.cofinite:
+            return self._make(True, _and_words(a.members, b.members))
+        if a.cofinite:
+            return self._make(True, _minus_words(a.members, b.members))
+        if b.cofinite:
+            return self._make(True, _minus_words(b.members, a.members))
+        return self._make(False, _or_words(a.members, b.members))
 
     def intersect(self, a: FcSet, b: FcSet) -> FcSet:
-        key = ("&", a, b)
-        out = self._memo.get(key)
-        if out is None:
-            self._own(a, b)
-            if a.cofinite and b.cofinite:
-                out = self._make(True, _or_words(a.members, b.members))
-            elif a.cofinite:
-                out = self._make(False, _minus_words(b.members, a.members))
-            elif b.cofinite:
-                out = self._make(False, _minus_words(a.members, b.members))
-            else:
-                out = self._make(False, _and_words(a.members, b.members))
-            self._memo[key] = out
-        return out
+        self._own(a, b)
+        if a is b or a.cofinite and not a.members:
+            return b
+        if a.cofinite and b.cofinite:
+            return self._make(True, _or_words(a.members, b.members))
+        if a.cofinite:
+            return self._make(False, _minus_words(b.members, a.members))
+        if b.cofinite:
+            return self._make(False, _minus_words(a.members, b.members))
+        return self._make(False, _and_words(a.members, b.members))
 
     def complement(self, a: FcSet) -> FcSet:
         self._own(a)

@@ -269,24 +269,20 @@ class Checker:
         ``(None, None)``.
 
         The walk follows the spine of ``r`` while each head is a literal of
-        one symbol, and derives ``s`` by each symbol.  It stops when ``s``
-        becomes ``.*``, which proves the pair; or ``[]``, which leaves the
-        rest of ``r`` to the emptiness search; or when ``r`` is used up, so
-        that it is one word, in ``s`` iff what is left of ``s`` is
-        nullable.  A walk that meets anything else decides nothing.  ``top``
-        and ``bottom`` are the builder's ``.*`` and ``[]``.
+        one symbol, read from its node fact ``symbol``, and derives ``s`` by
+        each symbol; it keeps no memo and calls no algebra method.  It stops
+        when ``s`` becomes ``.*``, which proves the pair; or ``[]``, which
+        leaves the rest of ``r`` to the emptiness search; or when ``r`` is
+        used up, so that it is one word, in ``s`` iff what is left of ``s``
+        is nullable.  A walk that meets anything else decides nothing.
+        ``top`` and ``bottom`` are the builder's ``.*`` and ``[]``.
         """
         b = self.builder
-        single = b.algebra.singleton
-        syms: dict = {}  # the symbol of each head literal met, as a word has few
         word = []
         while True:
             head, rest = (r.head, r.tail) if type(r) is Concat else (r, None)
-            a = syms.get(head)
-            if a is None:
-                a = syms[head] = single(head.symbols) if type(head) is Literal else None
-                if a is None:
-                    return None, None
+            if type(head) is not Literal or (a := head.symbol) is None:
+                return None, None
             word.append(a)
             s = deriv_symbol(b, a, s)
             if rest is None:

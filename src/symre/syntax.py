@@ -38,13 +38,14 @@ Lead = tuple[tuple[SymbolSet, ...], SymbolSet]
 class Ere:
     """A normalized expression node; equality and hashing are by identity.
 
-    Besides its parts, a node carries two facts found from its parts' facts
-    when the builder interns it: ``nullable``, whether it matches the empty
-    word, and ``lead``, its distinct leading literals in order of appearance
-    and its coverage (see ``nextlit``).  Leads are interned per builder like
-    the nodes, so two nodes with equal leads hold the same ``lead`` object:
-    a star, and a concatenation whose head is not nullable, that of the node
-    below them, so every suffix of a word shares that of its head literal.
+    Besides its parts, a node carries facts found once, when the builder
+    interns it: ``nullable``, whether it matches the empty word; ``lead``,
+    its distinct leading literals in order of appearance and its coverage
+    (see ``nextlit``); and, on a literal only, ``symbol`` (see
+    :class:`Literal`).  Leads are interned per builder like the nodes, so
+    two nodes with equal leads hold the same ``lead`` object: a star, and a
+    concatenation whose head is not nullable, that of the node below them,
+    so every suffix of a word shares that of its head literal.
     """
 
     __slots__ = ("eid", "nullable", "lead")
@@ -62,11 +63,19 @@ class Epsilon(Ere):
 
 
 class Literal(Ere):
-    __slots__ = ("symbols",)
+    """A set of symbols; its third node fact ``symbol`` is the set's one
+    symbol when it has exactly one, else ``None`` (``Algebra.singleton``),
+    so a word's symbols are read off its literals (see
+    ``Checker._fold_word``)."""
+
+    __slots__ = ("symbols", "symbol")
 
     def __init__(self, eid: int, nullable: bool, symbols: SymbolSet):
-        super().__init__(eid, nullable)
-        self.symbols = symbols
+        # The fields are set here, not through ``Ere.__init__``, as in
+        # ``Concat``: each new literal also pays for a ``singleton`` call,
+        # and a fresh builder makes every literal of a query anew.
+        self.eid, self.nullable, self.symbols = eid, nullable, symbols
+        self.symbol = symbols.algebra.singleton(symbols)
 
 
 class _Nary(Ere):

@@ -594,6 +594,26 @@ def test_word_fold_agrees_with_the_unfolding():
         assert all(folds.values()), (spec, folds)
 
 
+@pytest.mark.parametrize(
+    "spec,lhs,rhs,holds",
+    [("cofinite", "0[bB][01][01]*", "0[bB].*", True), ("unicode", "ab" * 500, "[ab]*", True)],
+    ids=["cheap-attempt", "long-word"],
+)
+def test_word_fold_makes_no_algebra_call(spec, lhs, rhs, holds, monkeypatch):
+    # the fold reads each head literal's symbol, a node fact set when the
+    # literal was interned, so a check asks the algebra for no singleton,
+    # whether the fold decides the pair or not
+    alg = make_algebra(spec)
+    b = ExprBuilder(alg)
+    r, s = b.parse(lhs), b.parse(rhs)
+    b.sigma_star()  # a builder's first check interns ``.*``, a new literal
+    calls = []
+    monkeypatch.setattr(alg, "singleton", lambda a: calls.append(a))
+    verdict = Checker(b).check(r, s)
+    assert verdict.holds is holds
+    assert calls == []
+
+
 def test_fuel_keeps_its_meaning_under_the_word_fold():
     # the fold visits one pair, however long the word; the unfolding counts
     # one pair per symbol

@@ -22,7 +22,10 @@ from symre.syntax import (
     width,
 )
 
+from symre.cli import make_algebra
+from symre.containment import Checker
 from symre.oracle import SliceOracle
+from symre.regexalg import RegexAlgebra
 
 from exprgen import C3_WEIGHTS, random_raw, raw_text
 
@@ -334,6 +337,32 @@ def test_nullable_table(b):
     assert b.union(a, b.epsilon()).nullable
     assert not b.concat(a, b.star(a)).nullable
     assert b.concat(b.star(a), b.star(a)).nullable is True
+
+
+def test_literal_symbol_is_set_when_the_literal_is_interned():
+    # ``symbol`` is a node fact: the set's one symbol, or None, found once
+    # by the algebra when the builder interns the literal
+    texts = ["abc", "a[bc]*c", "[^a]b|c", ".*a.*&!(b*)", "(a|b)*a(a|b)", "()|[]"]
+    wide = ["\\u{4e00}[\\u{4e00}-\\u{9fff}]*", "\\u{1f600}|[^x]", "[a-a]x\\u{10ffff}"]
+    for spec, more in (("bitset:abc", []), ("unicode", wide), ("cofinite", wide)):
+        alg = make_algebra(spec)
+        b = ExprBuilder(alg)
+        nodes = [b.parse(t) for t in texts + more]
+        # the checks intern the derivatives of both sides as well
+        for r, s in zip(nodes, nodes[1:] + nodes[:1]):
+            Checker(b).check(r, s)
+        literals = [n for n in b._table.values() if type(n) is Literal]
+        for lit in literals:
+            assert lit.symbol == alg.singleton(lit.symbols), (spec, lit)
+        assert {lit.symbol for lit in literals} >= {None, "a", "b", "c"}, spec
+    regex = RegexAlgebra("ab")
+    b = ExprBuilder(regex)
+    one, two = b.literal(regex.set_of("ab|b")), b.literal(regex.set_of("b"))
+    Checker(b).check(b.concat(one, b.star(two)), b.star(b.union(one, two)))
+    literals = [n for n in b._table.values() if type(n) is Literal]
+    assert len(literals) >= 4
+    for lit in literals:
+        assert lit.symbol == regex.singleton(lit.symbols) is None, lit
 
 
 def test_nullable_matches_slice():
