@@ -14,16 +14,16 @@ Four fast-path axioms close a pair before it is unfolded: identity, the
 universal right side ``.*``, a left intersection among whose members is
 every conjunct of the right side (``L(r & s)`` is contained in ``L(r)``),
 and an empty right side, which the shortest-word search of the left side
-decides either way.  A fifth, the word fold, is tried at the first pair of
-a check only: when the left side starts with literals of one symbol each,
-it derives the right side by each symbol (Brzozowski's membership test)
-until that side is ``.*`` or ``[]`` or the left side is used up.  Every
-pair along such a word has one class, so the fold reaches the answer that
-the unfolding reaches along the same pairs, at one derivative per symbol.
-Below the root each pair of the word would fold the rest of it again.  The
-axioms never change a verdict, only the statistics.  A ``[]`` or ``()``
-left side has no next literals, so the unfolding closes its pair in the one
-visit that opens it, with no axiom.
+decides either way.  With them the word fold rewrites the first pair: by
+Brzozowski's word derivative ``w·r ⊆ s`` is ``r ⊆ w⁻¹s``, so while the left
+side starts with a literal of one symbol, the check steps to its tail and
+derives the right side by that symbol, and the loop starts at the pair
+reached.  Every pair along such a word has one class, so the unfolding
+would visit the same pairs one by one; the fold stops where an axiom would
+close them, at ``.*``, ``[]`` or identity.  The axioms never change a
+verdict, only the statistics.  A ``[]`` or ``()`` left side has no next
+literals, so the unfolding closes its pair in the one visit that opens it,
+with no axiom.
 A traced check renders each node once: its events share one map of node
 texts, so each pair costs its new nodes only.  An untraced check builds no
 event and renders nothing.
@@ -46,9 +46,10 @@ DEFAULT_FUEL = 1 << 20
 
 TraceSink = Callable[[dict], None]
 
-# Each rule of a trace, and the verdict it closes its pair with; ``unfold``
-# closes nothing, it opens the pair's branches.  ``prove-word`` and
-# ``disprove-word`` are the word fold's, at the first pair of a check only.
+# Each rule of a trace, and the verdict it closes its pair with.  ``unfold``
+# closes nothing, it opens the pair's branches; nor does ``fold``, the first
+# event of a check whose fold read a word: it names the query's pair and the
+# word, and the events of the pair reached follow it at depth 0.
 TRACE_RULES = {
     "disprove": False,
     "cycle": True,
@@ -58,8 +59,7 @@ TRACE_RULES = {
     "prove-conjunct": True,
     "disprove-empty": False,
     "prove-empty-language": True,
-    "prove-word": True,
-    "disprove-word": False,
+    "fold": None,
 }
 
 
@@ -182,11 +182,13 @@ class Checker:
     def check(self, r: Ere, s: Ere) -> Verdict:
         """Decide whether the language of ``r`` is contained in ``s``.
 
-        One loop visits the pairs depth first.  Disprove, the axioms and
-        cycle detection answer a pair; otherwise it is unfolded, and its
-        frame steps through its branches.  The word fold is tried at the
-        first pair only, after the other axioms, and a root that does not
-        start with a literal costs it only type tests.
+        With the axioms on, the word fold first rewrites the query's pair:
+        while ``r`` starts with a literal of one symbol ``a`` and ``s`` is
+        neither ``.*``, ``[]`` nor ``r``, the pair ``a·r' ⊆ s`` steps to
+        ``r' ⊆ a⁻¹s``.  One loop then visits the pairs depth first from the
+        pair reached.  Disprove, the axioms and cycle detection answer a
+        pair; otherwise it is unfolded, and its frame steps through its
+        branches.
         """
         b = self.builder
         trace, fuel, use_axioms = self.trace, self.fuel, self.use_axioms
@@ -196,6 +198,16 @@ class Checker:
         frames: list[list] = []  # [lhs, rhs, branches, next branch] per unfolded pair
         visited = max_depth = depth = 0
         lhs, rhs = r, s
+        word = []  # the symbols the fold read: every witness starts with them
+        while use_axioms and rhs is not top and rhs is not bottom and rhs is not lhs:
+            head = lhs.head if type(lhs) is Concat else lhs
+            if type(head) is not Literal or (a := head.symbol) is None:
+                break
+            word.append(a)
+            lhs = lhs.tail if head is not lhs else b.epsilon()
+            rhs = deriv_symbol(b, a, rhs)
+        if word and trace is not None:
+            trace(self._event(texts, "fold", r, s, b.algebra.format_word(word), 0))
         while True:
             visited += 1
             if depth > max_depth:
@@ -220,10 +232,6 @@ class Checker:
                 elif rhs is bottom:
                     tail = shortest_word(b, lhs, fuel)
                     rule = "prove-empty-language" if tail is None else "disprove-empty"
-                elif visited == 1 and (
-                    type(lhs) is Literal or type(lhs) is Concat and type(lhs.head) is Literal
-                ):
-                    rule, tail = self._fold_word(lhs, rhs, top, bottom)
             if rule is None:
                 pair = (lhs.eid, rhs.eid)
                 if pair in assumed:
@@ -252,55 +260,26 @@ class Checker:
             a_set, a = todo[idx]
             depth = len(frames)
             if trace is not None:
-                trace(self._event(texts, "unfold", lhs, rhs, a_set, depth - 1))
+                literal = b.algebra.format_set(a_set)
+                trace(self._event(texts, "unfold", lhs, rhs, literal, depth - 1))
             lhs, rhs = deriv_symbol(b, a, lhs), deriv_symbol(b, a, rhs)
 
         stats = CheckStats(visited, max_depth)
         if tail is None:
             return Verdict(True, None, stats)
-        # The failing path spells the witness's prefix: the witness symbol of
-        # each open frame's current branch.
-        prefix = tuple(branches[nxt - 1][1] for _, _, branches, nxt in frames)
-        return Verdict(False, b.algebra.word_of(prefix + tuple(tail)), stats)
-
-    def _fold_word(self, r: Ere, s: Ere, top: Ere, bottom: Ere) -> tuple:
-        """The rule that decides whether ``r`` is contained in ``s`` along the
-        word that ``r`` starts with, and the symbols of a refuting word; or
-        ``(None, None)``.
-
-        The walk follows the spine of ``r`` while each head is a literal of
-        one symbol, read from its node fact ``symbol``, and derives ``s`` by
-        each symbol; it keeps no memo and calls no algebra method.  It stops
-        when ``s`` becomes ``.*``, which proves the pair; or ``[]``, which
-        leaves the rest of ``r`` to the emptiness search; or when ``r`` is
-        used up, so that it is one word, in ``s`` iff what is left of ``s``
-        is nullable.  A walk that meets anything else decides nothing.
-        ``top`` and ``bottom`` are the builder's ``.*`` and ``[]``.
-        """
-        b = self.builder
-        word = []
-        while True:
-            head, rest = (r.head, r.tail) if type(r) is Concat else (r, None)
-            if type(head) is not Literal or (a := head.symbol) is None:
-                return None, None
-            word.append(a)
-            s = deriv_symbol(b, a, s)
-            if rest is None:
-                return ("prove-word", None) if s.nullable else ("disprove-word", word)
-            if s is top:
-                return "prove-word", None
-            if s is bottom:
-                tail = shortest_word(b, rest, self.fuel)
-                return ("prove-word", None) if tail is None else ("disprove-word", word + list(tail))
-            r = rest
+        # The witness is the fold's word, then the witness symbol of each
+        # open frame's current branch along the failing path, then the tail.
+        word.extend(branches[nxt - 1][1] for _, _, branches, nxt in frames)
+        return Verdict(False, b.algebra.word_of(word + list(tail)), stats)
 
     def _event(self, texts: dict, rule: str, lhs: Ere, rhs: Ere, literal, depth: int) -> dict:
-        """The trace event of ``rule`` at the pair, with node texts kept in ``texts``."""
+        """The trace event of ``rule`` at the pair, with the text of its literal
+        (or ``None``) and node texts kept in ``texts``."""
         return {
             "rule": rule,
             "lhs": to_text(lhs, texts),
             "rhs": to_text(rhs, texts),
-            "literal": None if literal is None else self.builder.algebra.format_set(literal),
+            "literal": literal,
             "depth": depth,
         }
 
@@ -330,7 +309,9 @@ def replay_trace(events: Sequence[dict]) -> bool:
 
     An ``unfold`` event with a literal is followed by the sub-trace of that
     branch one level deeper; a null literal marks an unfolding with no
-    branches.  The trace of a query must replay to the query's verdict.  An
+    branches.  A ``fold`` event may open a root, which goes on with the
+    events of the pair its word reached; it names no pair to replay.  The
+    trace of a query must replay to the query's verdict.  An
     equivalence that holds one way writes a second root trace, the converse
     containment, and replays to the verdict of that last root.  One loop
     keeps a stack of the open unfoldings, so a deep trace costs no
@@ -348,6 +329,11 @@ def replay_trace(events: Sequence[dict]) -> bool:
             event = events[i]
             if event["depth"] != len(pairs):
                 raise ValueError(f"trace event at index {i} has unexpected depth")
+            if event["rule"] == "fold":
+                if pairs or i and events[i - 1]["rule"] == "fold":
+                    raise ValueError(f"fold event at index {i} does not open a root")
+                i += 1
+                continue
             verdict = TRACE_RULES[event["rule"]]
             if verdict is None:
                 pairs.append((event["lhs"], event["rhs"]))

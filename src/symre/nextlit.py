@@ -42,6 +42,7 @@ the ``mixed_queries`` bench corpus).  The public combinators ``join``,
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import reduce
 
 from .alphabet import Algebra, SymbolSet
 from .syntax import Ere, ExprBuilder
@@ -56,10 +57,8 @@ def canonical_partition(alg: Algebra, sets: Iterable[SymbolSet]) -> Partition:
 
 
 def partition_union(alg: Algebra, parts: Partition) -> SymbolSet:
-    out = alg.bottom()
-    for s in parts:
-        out = alg.union(out, s)
-    return out
+    """The union of the parts, from the first one on; ``[]`` for none."""
+    return reduce(alg.union, parts) if parts else alg.bottom()
 
 
 def join(alg: Algebra, left: Partition, right: Partition) -> Partition:

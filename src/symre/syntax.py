@@ -65,8 +65,8 @@ class Epsilon(Ere):
 class Literal(Ere):
     """A set of symbols; its third node fact ``symbol`` is the set's one
     symbol when it has exactly one, else ``None`` (``Algebra.singleton``),
-    so a word's symbols are read off its literals (see
-    ``Checker._fold_word``)."""
+    so a word's symbols are read off its literals (see the word fold of
+    ``Checker.check``)."""
 
     __slots__ = ("symbols", "symbol")
 

@@ -16,7 +16,7 @@ from symre.containment import (
     replay_trace,
     shortest_word,
 )
-from symre.derivative import deriv_symbol, neg_deriv, pos_deriv
+from symre.derivative import deriv_symbol, deriv_word, neg_deriv, pos_deriv
 from symre.oracle import SliceOracle
 from symre.syntax import MAX_NESTING, ExprBuilder, to_text
 
@@ -141,15 +141,20 @@ def _traced(b, lhs, rhs):
         (f"{A}&{B}&{C}", f"{A}&{C}", "prove-conjunct"),
         (f"{R_LANG}&{NOT_R}", "[]", "prove-empty-language"),
         ("(a!b)" * 50, ".*", "prove-universal"),
-        ("abcab", ".*ab", "prove-word"),
-        ("abba(a|b|c)*", ".*abba.*", "prove-word"),
-        ("c(a&b)", "[ab]*", "prove-word"),
+        # the word fold rewrites the first pair to the one its word reaches,
+        # and that pair is closed in its one visit: () <= ()|.*ab unfolds
+        # into no branches; (a|b|c)* is .* over abc, so identity, tried
+        # before the universal right side, closes .* <= .*; and the
+        # emptiness search finds no word of a&b against []
+        ("abcab", ".*ab", "fold unfold"),
+        ("abba(a|b|c)*", ".*abba.*", "fold prove-identity"),
+        ("c(a&b)", "[ab]*", "fold prove-empty-language"),
     ],
 )
 def test_axiom_closes_the_root_pair(b, lhs, rhs, rule):
     verdict, rules = _traced(b, lhs, rhs)
     assert verdict.holds and verdict.stats.visited == 1
-    assert rules == [rule]
+    assert rules == rule.split()
 
 
 def test_conjunct_axiom_reads_only_the_left_side_as_a_conjunction(b):
@@ -183,15 +188,16 @@ def test_traced_checks_render_each_node_once(b, monkeypatch):
     # to_text renders it, and each distinct node under the sides is
     # rendered once, however many events name it; a leading [ab] keeps the
     # word fold off, so the 400-symbol word is unfolded pair by pair, and
-    # the plain word is the fold's one event
+    # the plain word is folded to the pair () <= [ab]*: a fold event and
+    # that pair's one event
     text_of, render = syntax._text_of, containment.to_text
-    for lhs, count in (("[ab]" + "ab" * 200, 402), ("ab" * 200, 1)):
+    for lhs, visited, count in (("[ab]" + "ab" * 200, 402, 402), ("ab" * 200, 1, 2)):
         rendered, sides = [], []
         monkeypatch.setattr(syntax, "_text_of", lambda r, *rest: rendered.append(r) or text_of(r, *rest))
         monkeypatch.setattr(containment, "to_text", lambda r, texts: sides.append(r) or render(r, texts))
         events = []
         verdict = Checker(b, trace=events.append).check(b.parse(lhs), b.parse("[ab]*"))
-        assert verdict.holds and verdict.stats.visited == len(events) == count
+        assert verdict.holds and (verdict.stats.visited, len(events)) == (visited, count)
         steps = len(rendered)
         distinct, todo = set(), list(sides)
         while todo:
@@ -304,6 +310,21 @@ def test_shortest_word_fuel_exhaustion_is_an_error(b):
             ],
             "trace event at index 2 is malformed",
         ),
+        # a fold opens a root only: not below one, nor inside an unfolding,
+        # nor right after the fold that opened it
+        ([{"rule": "fold", "depth": 1}], "trace event at index 0 has unexpected depth"),
+        (
+            [{"rule": "fold", "depth": 0}] * 2 + [{"rule": "cycle", "depth": 0}],
+            "fold event at index 1 does not open a root",
+        ),
+        (
+            [
+                {"rule": "unfold", "lhs": "a", "rhs": "b", "literal": "a", "depth": 0},
+                {"rule": "fold", "lhs": "a", "rhs": "b", "literal": "a", "depth": 1},
+            ],
+            "fold event at index 1 does not open a root",
+        ),
+        ([{"rule": "fold", "depth": 0}], "trace ends inside an unfolding"),
     ],
 )
 def test_replay_trace_rejects_malformed_traces(events, message):
@@ -361,14 +382,16 @@ def test_trace_replay_matches_verdict_on_random_pairs():
 def test_deep_traces_replay_to_their_verdicts(rhs, holds):
     # over abc, [ab]* is not .*, which the universal axiom closes at once;
     # a leading [ab] keeps the word fold off, so the 5000-symbol word is
-    # unfolded pair by pair, and the plain word is the fold's one event
+    # unfolded pair by pair, and the plain word is folded to the pair of ()
+    # and what is left of the right side: a fold event and that pair's one
+    # event at depth 0
     b = ExprBuilder(BitsetAlgebra("abc"))
-    for lhs, count in (("[ab]" + "ab" * 2500, 5002), ("ab" * 2500, 1)):
+    for lhs, visited, count in (("[ab]" + "ab" * 2500, 5002, 5002), ("ab" * 2500, 1, 2)):
         events = []
         verdict = Checker(b, trace=events.append).check(b.parse(lhs), b.parse(rhs))
         assert verdict.holds == holds
-        assert verdict.stats.visited == len(events) == count
-        assert events[-1]["depth"] == verdict.stats.max_depth == count - 1
+        assert (verdict.stats.visited, len(events)) == (visited, count)
+        assert events[-1]["depth"] == verdict.stats.max_depth == visited - 1
         assert replay_trace(events) == holds
 
 
@@ -556,14 +579,15 @@ def test_symbols_outside_the_universe_are_in_no_language(alg):
 # The rests that follow a word on a left side: none, rests that are no word,
 # and a rest whose language is empty.
 FOLD_RESTS = ("", "(a|b)*", "[ab]", "c*a", "(a&b)")
-FOLD_RULES = ("prove-word", "disprove-word")
 
 
 def test_word_fold_agrees_with_the_unfolding():
-    # the fold decides a first pair whose left side starts with a word with
-    # the verdict and witness that the unfolding finds along the same pairs,
-    # in one visited pair and one event, and a left side that is one word is
-    # always decided so
+    # the fold rewrites a first pair whose left side starts with a word to
+    # the pair that a prefix of the word reaches: the check gives the
+    # verdict and witness that the unfolding finds along the same pairs, its
+    # first event is a fold naming the query's pair and the prefix read, and
+    # the rest of it is the check of the reached pair, whose witness follows
+    # the prefix; a left side that is one word is always decided in one pair
     rng = random.Random(31)
     gen = BitsetAlgebra("abc")
     rights = list(LONG_WORD_PATTERNS)
@@ -584,14 +608,40 @@ def test_word_fold_agrees_with_the_unfolding():
                         verdict = Checker(b, global_memo=global_memo, trace=events.append).check(r, s)
                         assert (verdict.holds, verdict.witness) == (expected.holds, expected.witness)
                         assert replay_trace(events) == verdict.holds
-                        assert (verdict.stats.visited == 1) == (len(events) == 1)
-                        folded = events[0]["rule"] in FOLD_RULES
-                        assert all(e["rule"] not in FOLD_RULES for e in events[folded:])
-                        assert not folded or verdict.stats == CheckStats(1, 0)
+                        folded = events[0]["rule"] == "fold"
+                        assert (verdict.stats.visited == 1) == (len(events) == 1 + folded)
+                        assert all(e["rule"] != "fold" for e in events[1:])
+                        if folded:
+                            fold = events[0]
+                            read = fold["literal"]
+                            assert (fold["lhs"], fold["rhs"], fold["depth"]) == (to_text(r), to_text(s), 0)
+                            assert read and word.startswith(read)
+                            reached = []
+                            lhs = b.parse(word[len(read):] + rest or "()")
+                            rhs = deriv_word(b, read, s)
+                            tail = Checker(b, global_memo=global_memo, trace=reached.append).check(lhs, rhs)
+                            assert reached == events[1:] and tail.stats == verdict.stats
+                            assert verdict.witness == (None if tail.holds else read + tail.witness)
                         if word and not rest:
                             assert verdict.stats.visited == 1, (spec, word, text)
                         folds[rest] += folded
         assert all(folds.values()), (spec, folds)
+
+
+@pytest.mark.parametrize("n", [10, 10**4])
+def test_word_fold_hands_the_rest_to_the_unfolding(n):
+    # w(ab)* <= [ab]*: the fold reads w and leaves (ab)* <= [ab]* to the
+    # unfolding, which closes it in three pairs whatever the length of w
+    b = ExprBuilder(BitsetAlgebra("abc"))
+    word = "".join(random.Random(n).choice("ab") for _ in range(n))
+    verdict = Checker(b).check(b.parse(word + "(ab)*"), b.parse("[ab]*"))
+    assert verdict == (True, None, CheckStats(3, 2))
+    # a refutation found below the reached pair spells the fold's word first
+    events = []
+    verdict = Checker(b, trace=events.append).check(b.parse("abab(a|b)*c"), b.parse("[ab]*"))
+    assert (verdict.holds, verdict.witness) == (False, "ababc")
+    assert (events[0]["rule"], events[0]["literal"]) == ("fold", "abab")
+    assert replay_trace(events) is False
 
 
 @pytest.mark.parametrize(

@@ -185,6 +185,23 @@ def test_next_ineq_pinned_forms(b):
     )
 
 
+@pytest.mark.parametrize(
+    "alg",
+    [BitsetAlgebra("abc"), IntervalAlgebra(), FiniteCofiniteAlgebra()],
+    ids=["bitset", "interval", "cofinite"],
+)
+def test_partition_union_starts_from_the_first_part(alg, monkeypatch):
+    # k parts take k - 1 unions, none of them with []; no part gives []
+    b = ExprBuilder(alg)
+    parts = tuple(b.parse(c).symbols for c in "abc")
+    union, calls = alg.union, []
+    monkeypatch.setattr(alg, "union", lambda x, y: calls.append((x, y)) or union(x, y))
+    assert partition_union(alg, parts) == b.parse("[abc]").symbols
+    assert calls == [parts[:2], (b.parse("[ab]").symbols, parts[2])]
+    assert partition_union(alg, parts[:1]) is parts[0]
+    assert partition_union(alg, ()) == alg.bottom() and len(calls) == 2
+
+
 def _leading_literals(r):
     """The literals the derivative operators reach from the root of ``r``."""
     if isinstance(r, Literal):
