@@ -330,7 +330,7 @@ def replay_trace(events: Sequence[dict]) -> bool:
             if event["depth"] != len(pairs):
                 raise ValueError(f"trace event at index {i} has unexpected depth")
             if event["rule"] == "fold":
-                if pairs or i and events[i - 1]["rule"] == "fold":
+                if pairs or i and events[i - 1]["rule"] == "fold" or i + 1 == len(events):
                     raise ValueError(f"fold event at index {i} does not open a root")
                 i += 1
                 continue

@@ -14,17 +14,20 @@ All three are one memoized walker over a probe: ``"sym"`` with a symbol,
 ``"pos"`` or ``"neg"`` with a non-empty set.  The probes differ only at a
 literal, where each tests the literal its own way, and at ``!``, where
 ``"pos"`` and ``"neg"`` swap.  No probe recurses along a concatenation, so
-a long chain of nullable heads costs no recursion depth.
+a long chain of nullable heads costs no recursion depth: a concatenation
+derives to one union of the terms ``d(head)·tail`` down that chain, with
+no union nested per head.
 
-The memo keeps one entry per probe and node, with one exception.  Called
-on a concatenation whose head is a literal, such as a suffix of a word or
-of ``(a|b)(a|b)…``, ``deriv_symbol`` returns the tail or ``[]``, as the
-head literal's entry decides, and makes no entry of its own;
-``partial_derivatives`` does the same.  So the unfolding of a word against
-a pattern keeps one entry per distinct symbol, not one per suffix.  The
-walker still memoizes such a node where it meets one inside another: a
-union's derivative derives every member, and a memo hit is the cheaper way
-there (without those entries, checking ``r`` against ``r|r'`` with
+The memo keeps one entry per probe and node derived; deriving a chain
+makes none for its suffixes, and stops at a suffix that has one.  The one
+exception: called on a concatenation whose head is a literal, such as a
+suffix of a word or of ``(a|b)(a|b)…``, ``deriv_symbol`` returns the tail
+or ``[]``, as the head literal's entry decides, and makes no entry of its
+own; ``partial_derivatives`` does the same.  So the unfolding of a word
+against a pattern keeps one entry per distinct symbol, not one per suffix.
+The walker still memoizes such a node where it meets one inside another:
+a union's derivative derives every member, and a memo hit is the cheaper
+way there (without those entries, checking ``r`` against ``r|r'`` with
 ``r = (a|b)*a(a|b){n}`` took 3 to 5% longer).
 
 A symbol outside the algebra's universe (over a character alphabet, a
@@ -123,31 +126,28 @@ def _step(b: ExprBuilder, kind: str, x, r: Ere) -> Ere:
 
 
 def _deriv_concat(b: ExprBuilder, kind: str, x, r: Concat) -> Ere:
-    """``d(head)·tail``, joined by ``|`` with ``d(tail)`` when the head is
-    nullable.
+    """The union of the terms ``d(head)·tail`` down the chain of nullable
+    heads, and ``d(last)`` when every head is nullable and the chain ends
+    in ``last``: Brzozowski's ``d(rs) = d(r)·s | ν(r)·d(s)`` unrolled, as
+    ``_split`` builds Antimirov's terms.  ``last`` is the first suffix
+    whose derivative is memoized, else the non-concatenation at the end.
 
-    A loop down the chain of nullable heads, so a long chain costs no
-    recursion.  It builds and memoizes the same nodes, in the same order, as
-    the recursive definition, so eids and traces do not depend on it.
+    A loop, so a long chain costs no recursion; it builds no intermediate
+    union and memoizes no suffix (the caller memoizes ``r``).  Stopping at
+    a derived suffix keeps the walk linear where a union derives each
+    suffix of a chain in turn, as the unfolding of ``(a|())…(a|())b`` does.
     """
-    cache = b.deriv_cache
-    chain = []  # the nodes with a nullable head, outermost first, and d(head)·tail
+    terms = []
     while True:
-        step = b.concat(_deriv(b, kind, x, r.head), r.tail)
+        terms.append(b.concat(_deriv(b, kind, x, r.head), r.tail))
         if not r.head.nullable:
-            out = cache[(kind, x, r.eid)] = step
             break
-        chain.append((r, step))
         r = r.tail
-        out = cache.get((kind, x, r.eid))
-        if out is not None:
+        out = b.deriv_cache.get((kind, x, r.eid))
+        if out is not None or not isinstance(r, Concat):
+            terms.append(out or _deriv(b, kind, x, r))
             break
-        if not isinstance(r, Concat):
-            out = _deriv(b, kind, x, r)
-            break
-    for node, step in reversed(chain):
-        out = cache[(kind, x, node.eid)] = b.union(step, out)
-    return out
+    return terms[0] if len(terms) == 1 else b.union(*terms)
 
 
 def partial_derivatives(b: ExprBuilder, a, r: Ere) -> tuple[Ere, ...]:

@@ -20,9 +20,9 @@ constructors apply exactly these language-preserving rewrites:
 
 The empty expression is represented as the empty-class literal ``[]`` and
 the universal language as ``.*``, the star of the literal of the whole
-alphabet.  A builder knows its ``.*`` node from the moment ``star`` interns
-it; the rules that take ``.*`` as an operand compare against that node, so
-they intern nothing, and only ``r | !r`` and ``!([])`` may intern ``.*``.
+alphabet.  A builder interns ``[]``, ``.`` and ``.*`` as it is made, so the
+rules that take ``.*`` as an operand, or return it, compare against or
+return that one node and intern nothing.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ class ExprBuilder:
         self.word_cache: dict[int, tuple | None] = {}
         self._leads: dict[Lead, Lead] = {}
         self._bottom = self.literal(algebra.bottom())
-        self._top: Ere | None = None  # the node ``.*``, once ``star`` interns it
+        self._top = self.star(self.literal(algebra.top()))
 
     def _intern(self, key: tuple, ctor: Callable, *args, nullable: bool) -> Ere:
         node = self._table.get(key)
@@ -198,8 +198,8 @@ class ExprBuilder:
         return self._bottom
 
     def sigma_star(self) -> Ere:
-        """The universal expression ``.*``."""
-        return self._top or self.star(self.literal(self.algebra.top()))
+        """The universal expression ``.*``, interned with the builder."""
+        return self._top
 
     def union(self, *parts: Ere) -> Ere:
         # One pass flattens, merges the literals and collects the members.
@@ -223,10 +223,9 @@ class ExprBuilder:
             members[lit.eid] = lit
         elif not members:
             return bottom
-        top = self._top
-        if top is not None and top.eid in members:
-            return top
-        return self._intern_members("union", Union, members, any) or self.sigma_star()
+        if self._top.eid in members:
+            return self._top
+        return self._intern_members("union", Union, members, any) or self._top
 
     def concat(self, r: Ere, s: Ere) -> Ere:
         bottom = self._bottom
@@ -264,10 +263,7 @@ class ExprBuilder:
         if type(r) is Epsilon or r is self._bottom:
             return self.epsilon()
         key = ("star", r.eid)
-        node = self._table.get(key) or self._intern(key, Star, r, nullable=True)
-        if self._top is None and type(r) is Literal and r.symbols == self.algebra.top():
-            self._top = node
-        return node
+        return self._table.get(key) or self._intern(key, Star, r, nullable=True)
 
     def and_(self, *parts: Ere) -> Ere:
         if not parts:
@@ -312,7 +308,7 @@ class ExprBuilder:
         if type(r) is Not:
             return r.inner
         if r is self._bottom:
-            return self.sigma_star()
+            return self._top
         if r is self._top:
             return self._bottom
         key = ("not", r.eid)

@@ -311,7 +311,7 @@ def test_shortest_word_fuel_exhaustion_is_an_error(b):
             "trace event at index 2 is malformed",
         ),
         # a fold opens a root only: not below one, nor inside an unfolding,
-        # nor right after the fold that opened it
+        # nor right after the fold that opened it, nor at the trace's end
         ([{"rule": "fold", "depth": 1}], "trace event at index 0 has unexpected depth"),
         (
             [{"rule": "fold", "depth": 0}] * 2 + [{"rule": "cycle", "depth": 0}],
@@ -324,7 +324,11 @@ def test_shortest_word_fuel_exhaustion_is_an_error(b):
             ],
             "fold event at index 1 does not open a root",
         ),
-        ([{"rule": "fold", "depth": 0}], "trace ends inside an unfolding"),
+        ([{"rule": "fold", "depth": 0}], "fold event at index 0 does not open a root"),
+        (
+            [{"rule": "cycle", "depth": 0}, {"rule": "fold", "depth": 0}],
+            "fold event at index 1 does not open a root",
+        ),
     ],
 )
 def test_replay_trace_rejects_malformed_traces(events, message):
@@ -656,7 +660,6 @@ def test_word_fold_makes_no_algebra_call(spec, lhs, rhs, holds, monkeypatch):
     alg = make_algebra(spec)
     b = ExprBuilder(alg)
     r, s = b.parse(lhs), b.parse(rhs)
-    b.sigma_star()  # a builder's first check interns ``.*``, a new literal
     calls = []
     monkeypatch.setattr(alg, "singleton", lambda a: calls.append(a))
     verdict = Checker(b).check(r, s)

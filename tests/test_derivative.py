@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from symre import derivative
 from symre.alphabet import AlgebraError, BitsetAlgebra
 from symre.derivative import (
     deriv_literal,
@@ -166,31 +167,51 @@ def _recursive_deriv(b, kind, x, r, memo):
 
 
 def test_symbol_derivative_interns_as_the_recursion_does():
-    # the loop down a concatenation builds the same nodes in the same order
-    # as the recursion, so eids, and the traces that print them, stay put;
-    # the set derivatives share that loop
+    # the loop down a concatenation makes one union of its terms, where the
+    # recursion nests a union per nullable head: on one builder the two give
+    # the same node; on two builders they render alike, and the loop interns
+    # no node that the recursion does not, only fewer (no intermediate
+    # union); the set derivatives share that loop
     alg = BitsetAlgebra("ab")
     sets = [alg.from_chars(cs) for cs in ("a", "b", "ab")]
     probes = (
-        ("sym", deriv_symbol, "ab"),
-        ("pos", pos_deriv, sets),
-        ("neg", neg_deriv, sets),
+        ("sym", deriv_symbol, "ab", 520, 521),
+        ("pos", pos_deriv, sets, 549, 550),
+        ("neg", neg_deriv, sets, 541, 542),
     )
-    for kind, deriv, xs in probes:
+    for kind, deriv, xs, looped_size, recursive_size in probes:
         rng = random.Random(23)
         raws = [random_raw(rng, alg, 12) for _ in range(300)]
+        one, one_memo = ExprBuilder(alg), {}
         looped, recursive, memo = ExprBuilder(alg), ExprBuilder(alg), {}
         for raw in raws:
-            todo = [(looped.parse(raw_text(raw)), recursive.parse(raw_text(raw)))]
+            text = raw_text(raw)
+            todo = [(one.parse(text), looped.parse(text), recursive.parse(text))]
             for _ in range(3):
-                todo = [
-                    (deriv(looped, x, r), _recursive_deriv(recursive, kind, x, s, memo))
-                    for r, s in todo
-                    for x in xs
-                ]
-                for r, s in todo:
-                    assert (r.eid, to_text(r)) == (s.eid, to_text(s)), kind
-            assert len(looped._table) == len(recursive._table), kind
+                steps = []
+                for q, r, s in todo:
+                    for x in xs:
+                        dq = deriv(one, x, q)
+                        assert dq is _recursive_deriv(one, kind, x, q, one_memo), kind
+                        dr, ds = deriv(looped, x, r), _recursive_deriv(recursive, kind, x, s, memo)
+                        assert to_text(dr) == to_text(ds), kind
+                        steps.append((dq, dr, ds))
+                todo = steps
+        texts = {to_text(n) for n in recursive._table.values()}
+        assert all(to_text(n) in texts for n in looped._table.values()), kind
+        assert (len(looped._table), len(recursive._table)) == (looped_size, recursive_size), kind
+
+
+def test_concatenation_derivative_makes_one_entry(b):
+    # a chain of nullable heads derives to one union of its terms: one entry
+    # for the chain and one per member it derives, none for a suffix, and
+    # one new node, the union
+    r = b.parse("(a|())(a|())(a|())b")
+    entries, nodes = len(b.deriv_cache), len(b._table)
+    assert to_text(deriv_symbol(b, "a", r)) == "(()|a)(()|a)b|(()|a)b|b"
+    assert (len(b.deriv_cache) - entries, len(b._table) - nodes) == (5, 1)
+    suffixes = {r.tail.eid, r.tail.tail.eid}
+    assert not any(key[2] in suffixes for key in b.deriv_cache)
 
 
 def test_symbol_derivative_of_a_long_nullable_chain(two):
@@ -209,6 +230,19 @@ def test_symbol_derivative_of_a_long_nullable_chain(two):
     both = alg.from_chars("ab")
     assert pos_deriv(two, both, r) is two.union(*chain[:-1], two.epsilon())
     assert neg_deriv(two, both, r) is two.bottom()
+
+
+def test_chain_derivative_stops_at_a_derived_suffix(two, monkeypatch):
+    # deriving the suffixes of a chain of nullable heads innermost first, as
+    # the unfolding derives a union of them, walks one head per suffix
+    chain = [two.char("b")]
+    for _ in range(300):
+        chain.append(two.concat(two.parse("a|()"), chain[-1]))
+    calls, deriv = [], derivative._deriv
+    monkeypatch.setattr(derivative, "_deriv", lambda *args: calls.append(args) or deriv(*args))
+    for i in range(1, len(chain)):
+        assert deriv_symbol(two, "a", chain[i]) is two.union(*chain[:i])
+    assert len(calls) < 2 * len(chain)
 
 
 # -- partial derivatives -----------------------------------------------------------

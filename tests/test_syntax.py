@@ -134,8 +134,9 @@ def test_complement_of_empty_and_universal(b):
 
 
 def test_operand_rules_intern_nothing_without_sigma_star():
-    # before ``.*`` is interned, the rules that take it as an operand cannot
-    # fire and must not intern it: each call adds its own node and no other
+    # a builder interns ``[]``, ``.`` and ``.*`` as it is made; the rules
+    # that take ``.*`` as an operand compare against that node, so each call
+    # adds its own node and no other
     b = ExprBuilder(BitsetAlgebra("abc"))
     x, y = b.parse("a*b"), b.parse("c*")
     for make in (lambda: b.union(x, y), lambda: b.and_(x, y), lambda: b.not_(x)):
@@ -143,9 +144,8 @@ def test_operand_rules_intern_nothing_without_sigma_star():
         node = make()
         assert len(b._table) == before + 1 and make() is node
         assert len(b._table) == before + 1
-    top = b.algebra.top()
-    assert not any(type(n) is Star and n.inner.symbols == top for n in b._table.values())
-    # the rules that return ``.*`` intern it, and the builder keeps it
+    assert len(ExprBuilder(BitsetAlgebra("abc"))._table) == 3
+    # the rules that return ``.*`` return that node
     assert to_text(b.union(x, b.not_(x))) == ".*"
     assert b.union(x, b.not_(x)) is b.not_(b.bottom()) is b.sigma_star() is b.parse(".*")
 
@@ -306,13 +306,13 @@ def test_normalization_preserves_language():
 
 
 def test_normal_forms_do_not_depend_on_when_sigma_star_was_interned():
-    # A fresh builder meets ``.*`` first wherever the expression makes it;
-    # the other has it from the start, so its operand rules can fire on
-    # every call.  Each expression gets one text and one slice on both,
-    # and the slice of the expression as written.
+    # Every builder has ``.*`` from the start, so this checks that normal
+    # forms do not depend on a builder's history: a fresh builder has made
+    # nothing else, the other every expression before this one.  Each
+    # expression gets one text and one slice on both, and the slice of the
+    # expression as written.
     alg = BitsetAlgebra("ab")
     early = ExprBuilder(alg)
-    early.sigma_star()
     oracle = SliceOracle(early, 5)
     rng = random.Random(24)
     for _ in range(2000):
@@ -560,8 +560,9 @@ FACTORS = {
 def test_parse_interns_the_nodes_of_a_fold_in_order():
     # The parse interns each factor's nodes in text order, a character's
     # literal at its first appearance, and then the concatenations of a
-    # fold from the right: the same eids and table order as building the
-    # word by hand, which traces and witnesses rest on.
+    # fold from the right: the same table, in the same order, as building
+    # the text by hand, so a parse interns no node that the expression does
+    # not need.
     rng = random.Random(26)
     alg = BitsetAlgebra("abc")
     for n in (1, 2, 3, 7, 40, 300, 2000):
