@@ -136,8 +136,9 @@ class ExprBuilder:
         self.algebra = algebra
         self._table: dict[tuple, Ere] = {}  # a node's eid is its index here
         # Memo tables used by the parser and by the derivative, next-literal
-        # and emptiness operations.  ``parse_cache`` maps a text that parsed
-        # to its node (see ``parse``).  ``deriv_cache`` maps a probe and an
+        # and emptiness operations.  ``parse_cache`` maps a text that parsed,
+        # and each character, class and flat group read in one, to its node
+        # (see ``parse``).  ``deriv_cache`` maps a probe and an
         # eid to the derivative, and ``next_cache`` the id of a ``lead`` to
         # the next-literal partition of the nodes with that lead, its
         # minterms; as the unfolding steps down a word, its suffixes make
@@ -318,9 +319,11 @@ class ExprBuilder:
         """The node of ``text`` in the concrete syntax.
 
         Memoized per builder, as ``re`` caches its compiled patterns: a text
-        is parsed on its first call only.  A text that fails to parse makes
-        no entry, so it raises the same ``ParseError`` on every call.
-        ``parse_with_metrics`` is not memoized.
+        is parsed on its first call only, and the characters, classes and
+        flat groups read in it are memoized too, so a later text takes them
+        from ``parse_cache``.  A text that fails to parse makes no entry of
+        its own, so it raises the same ``ParseError`` on every call.
+        ``parse_with_metrics`` parses every text it is given.
         """
         node = self.parse_cache.get(text)
         if node is None:
@@ -383,12 +386,20 @@ def width(r: Ere) -> int:
 # is one loop over the text by index, with no token stream and no
 # recursion: each open parenthesis keeps the enclosing chains on a list.
 # A run of plain characters (bare char atoms, not backslash escapes, the
-# last with no '*' after it) is one match of ``_RUN``.  One parse makes one
-# literal node per distinct character, so a word costs about one dict
-# lookup per symbol besides its concatenation node.  A character whose set
-# is empty, one outside a finite alphabet, is a parse error, found when its
-# literal is made.  The parser also counts the atoms, stars and bangs, for
-# the size and width of the expression as written.
+# last with no '*' after it) is one match of ``_RUN``.
+#
+# The builder's ``parse_cache`` holds, besides whole texts, every atom text
+# the parser reads: a character by its written form (so '\.' is not '.'),
+# a '[...]' class, and a flat group, one with no '(', '[' or '\' inside, so
+# it ends at its first ')'.  Each key maps to the node that ``parse`` gives
+# it, so an atom is read once per builder and then found by one dict
+# lookup: a word costs about one lookup per symbol besides its
+# concatenation node.  Flat groups are disjoint substrings, so the memo
+# grows at most linearly in the text read.  A character whose set is empty,
+# one outside a finite alphabet, is a parse error, found when its literal
+# is made, before it is stored.  The parser also counts the atoms, stars
+# and bangs, for the size and width of the expression as written; a flat
+# group from the memo is counted from its text.
 
 
 # The deepest parenthesis nesting the parser accepts.  The parser itself
@@ -449,12 +460,13 @@ def _char(text: str, pos: int) -> tuple[str, int]:
     return chr(cp), close + 1
 
 
-def _char_literal(b: ExprBuilder, lits: dict[str, Ere], c: str, pos: int) -> Ere:
-    """The literal node of ``c``, read at ``pos``: made on its first read in
-    a parse and then shared through ``lits``."""
-    lit = lits[c] = b.literal(_char_set(b.algebra, c))
+def _char_literal(b: ExprBuilder, key: str, c: str, pos: int) -> Ere:
+    """The literal node of ``c``, written ``key`` at ``pos``: stored in the
+    parse memo only once ``c`` is known to be in the alphabet."""
+    lit = b.literal(_char_set(b.algebra, c))
     if lit is b.bottom():
         raise ParseError(f"symbol {c!r} is not in the alphabet", pos)
+    b.parse_cache[key] = lit
     return lit
 
 
@@ -464,13 +476,15 @@ def parse_with_metrics(text: str, builder: ExprBuilder) -> tuple[Ere, int, int]:
 
     Every binary operator joins two subtrees, so the size is twice the
     number of leaves (literal and ``()`` atoms), less one, plus the number
-    of ``*`` and ``!``.
+    of ``*`` and ``!``.  The whole text is always parsed; its characters,
+    classes and flat groups are taken from, or added to, the builder's
+    ``parse_cache`` (see ``ExprBuilder.parse``).
     """
-    b, lits = builder, {}
+    b, memo = builder, builder.parse_cache
     literals = epsilons = unary = 0
     # The '|' operands, the current '&' chain's operands and the current
     # concatenation's factors, and those of each open parenthesis, with
-    # the '!'s before it.
+    # the '!'s before it and its memo key when it is flat.
     alts, ands, factors, groups = [], [], [], []
     pos = 0
     while True:
@@ -481,10 +495,10 @@ def parse_with_metrics(text: str, builder: ExprBuilder) -> tuple[Ere, int, int]:
         if c not in _ATOM_OPEN and (m := _RUN.match(text, pos)):
             run = m.group()
             for c in run:
-                if c not in lits:
-                    _char_literal(b, lits, c, pos + run.index(c))
+                if c not in memo:
+                    _char_literal(b, c, c, pos + run.index(c))
             literals += len(run)
-            factors += map(lits.__getitem__, run)
+            factors += map(memo.__getitem__, run)
             pos = m.end()
         else:
             start = pos
@@ -497,21 +511,40 @@ def parse_with_metrics(text: str, builder: ExprBuilder) -> tuple[Ere, int, int]:
             if c == "(":
                 if len(groups) == MAX_NESTING:
                     raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
-                if not text.startswith(")", pos + 1):
-                    groups.append((alts, ands, factors, bangs))
-                    alts, ands, factors = [], [], []
-                    pos += 1
-                    continue
-                epsilons += 1
-                node, pos = b.epsilon(), pos + 2
+                end = text.find(")", pos) + 1
+                if end == pos + 2:  # '()'
+                    epsilons += 1
+                    node, pos = b.epsilon(), end
+                else:
+                    # A flat group ends at its first ')', and its atoms are
+                    # its characters: none is a '(', '[' or '\'.
+                    key = text[pos:end]
+                    if key.count("(") != 1 or "[" in key or "\\" in key:
+                        key = None
+                    elif node := memo.get(key):
+                        ops = key.count("*") + key.count("!")
+                        unary += ops
+                        literals += end - pos - 2 - ops - key.count("|") - key.count("&")
+                        pos = end
+                    if node is None:
+                        groups.append((alts, ands, factors, bangs, key))
+                        alts, ands, factors = [], [], []
+                        pos += 1
+                        continue
             elif c in "[.":
                 literals += 1
-                symbols, pos = _set_atom(text, pos, b.algebra)
-                node = b.literal(symbols)
+                # No ']' gives the key "", which no parse stores.
+                end = pos + 1 if c == "." else text.find("]", pos) + 1
+                node = memo.get(text[pos:end])
+                if node is None:
+                    symbols, end = _set_atom(text, pos, b.algebra)
+                    node = memo[text[pos:end]] = b.literal(symbols)
+                pos = end
             else:
                 literals += 1
                 c, after = _char(text, pos)
-                node = lits.get(c) or _char_literal(b, lits, c, pos)
+                key = text[pos:after]
+                node = memo.get(key) or _char_literal(b, key, c, pos)
                 pos = after
         # An atom takes its stars, then its bangs.  A token that is no
         # operand ends the concatenation, and a ')' also ends its group,
@@ -547,7 +580,9 @@ def parse_with_metrics(text: str, builder: ExprBuilder) -> tuple[Ere, int, int]:
                 return node, 2 * (literals + epsilons) - 1 + unary, literals
             if c != ")":
                 raise ParseError("expected ')'", pos)
-            alts, ands, factors, bangs = groups.pop()
+            alts, ands, factors, bangs, key = groups.pop()
+            if key:
+                memo[key] = node
             pos += 1
 
 

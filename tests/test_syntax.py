@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -452,41 +453,57 @@ def test_parse_classes():
     assert b.parse("\\u{41}") is b.parse("A")
 
 
-@pytest.mark.parametrize(
-    "text,pos",
-    [
-        ("(a", 2),
-        ("a|", 2),
-        ("[ab", 3),
-        ("a)", 1),
-        ("*a", 0),
-        ("[a-]", 3),
-        ("!\\u{xyz}", 4),
-        ("", 0),
-        ("ab)", 2),
-        ("abc|", 4),
-        ("ab]", 2),
-        ("ab*|", 4),
-        ("a!", 2),
-        ("ab\\", 3),
-        ("[a\\", 3),
-        ("[a-\\u{}]", 6),
-        ("a\\u", 3),
-        ("a**b)", 4),
-        ("ab*c)", 4),
-        ("ab\\u{61}*(c", 11),
-        ("\\u{+4_1}", 3),
-        ("\\u{4_1}", 3),
-        ("\\u{ 41 }", 3),
-        ("\\u{-1}", 3),
-        ("[\\u{-1}]", 4),
-        ("\\u{\u0664\u0661}", 3),
-    ],
-)
+ERROR_POSITIONS = [
+    ("(a", 2),
+    ("a|", 2),
+    ("[ab", 3),
+    ("a)", 1),
+    ("*a", 0),
+    ("[a-]", 3),
+    ("!\\u{xyz}", 4),
+    ("", 0),
+    ("ab)", 2),
+    ("abc|", 4),
+    ("ab]", 2),
+    ("ab*|", 4),
+    ("a!", 2),
+    ("ab\\", 3),
+    ("[a\\", 3),
+    ("[a-\\u{}]", 6),
+    ("a\\u", 3),
+    ("a**b)", 4),
+    ("ab*c)", 4),
+    ("ab\\u{61}*(c", 11),
+    ("\\u{+4_1}", 3),
+    ("\\u{4_1}", 3),
+    ("\\u{ 41 }", 3),
+    ("\\u{-1}", 3),
+    ("[\\u{-1}]", 4),
+    ("\\u{\u0664\u0661}", 3),
+]
+
+
+@pytest.mark.parametrize("text,pos", ERROR_POSITIONS)
 def test_parse_errors_carry_position(b, text, pos):
     with pytest.raises(ParseError) as err:
         b.parse(text)
     assert err.value.position == pos
+
+
+@pytest.mark.parametrize(
+    "text,pos",
+    ERROR_POSITIONS + [("(a|b)(a|z)", 8), ("(a|b)*(a|b", 10), ("((a|b)", 6), ("(a|b)]", 5)],
+)
+def test_parse_errors_carry_position_on_a_warm_builder(b, text, pos):
+    # every part of the text that parses, its atoms among them, is parsed
+    # first, so the failing parse finds them in the memo
+    for i in range(len(text)):
+        for j in range(i + 1, len(text) + 1):
+            try:
+                b.parse(text[i:j])
+            except ParseError:
+                pass
+    test_parse_errors_carry_position(b, text, pos)
 
 
 @pytest.mark.parametrize(
@@ -578,13 +595,24 @@ def test_parse_interns_the_nodes_of_a_fold_in_order():
             assert node.eid == folded.eid == len(ref._table) - 1
 
 
+def _atoms_read(text):
+    """The characters, classes and flat groups of a text with no escapes."""
+    assert "\\" not in text
+    classes = re.findall(r"\[[^\]]*\]", text)
+    groups = re.findall(r"\([^()\[]+\)", text)
+    chars = set(re.sub(r"\[[^\]]*\]", "", text)) - set("()|&*!")
+    return {*classes, *groups, *chars}
+
+
 def test_parse_is_memoized_per_builder(monkeypatch):
     alg = BitsetAlgebra("abc")
     b, other = ExprBuilder(alg), ExprBuilder(alg)
     rng = random.Random(27)
     texts = [raw_text(random_raw(rng, alg, 12, C3_WEIGHTS)) for _ in range(300)]
     nodes = [b.parse(t) for t in texts]
-    assert set(b.parse_cache) == set(texts)
+    # the keys are the texts, and the characters, classes and flat groups
+    # read in them
+    assert set(b.parse_cache) == set(texts).union(*map(_atoms_read, texts))
     calls = []
     parse = syntax.parse_with_metrics
     monkeypatch.setattr(syntax, "parse_with_metrics", lambda t, bb: calls.append(t) or parse(t, bb))
@@ -602,7 +630,69 @@ def test_parse_is_memoized_per_builder(monkeypatch):
     # another builder parses for itself, into nodes of its own table
     assert not other.parse_cache
     assert other.parse(texts[0]) is not nodes[0]
-    assert calls[-1] == texts[0] and list(other.parse_cache) == [texts[0]]
+    assert calls[-1] == texts[0]
+    assert set(other.parse_cache) == {texts[0]} | _atoms_read(texts[0])
+
+
+def test_every_memo_key_maps_to_its_parse():
+    alg = BitsetAlgebra("abc")
+    warm = ExprBuilder(alg)
+    rng = random.Random(36)
+    texts = [raw_text(random_raw(rng, alg, 12, C3_WEIGHTS)) for _ in range(300)]
+    for t in texts:
+        warm.parse(t)
+    for k, node in warm.parse_cache.items():
+        assert to_text(node) == to_text(ExprBuilder(alg).parse(k))
+    # atoms from the memo give the counts as written of a fresh parse
+    for t in texts:
+        node, raw_size, raw_width = parse_with_metrics(t, warm)
+        fresh = parse_with_metrics(t, ExprBuilder(alg))
+        assert (to_text(node), raw_size, raw_width) == (to_text(fresh[0]), *fresh[1:])
+
+
+def test_a_repeated_atom_is_parsed_once():
+    b = ExprBuilder(BitsetAlgebra("ef"))
+    counts = {"union": 0, "class_set": 0}
+    for owner, name in ((b, "union"), (b.algebra, "class_set")):
+        def counted(*args, _f=getattr(owner, name), _name=name):
+            counts[_name] += 1
+            return _f(*args)
+        setattr(owner, name, counted)
+    r = "((e|f)*e(e|f)(e|f)(e|f))"
+    assert b.parse(f"{r}&!{r}") is b.bottom()
+    assert counts["union"] == 1
+    counts.update(union=0, class_set=0)
+    b.parse("[ef]e(e|f)")
+    b.parse("(e|f)[ef]")
+    assert counts == {"union": 0, "class_set": 1}
+
+
+def test_a_memoized_group_keeps_the_nesting_limit(b):
+    b.parse("(a|b)")
+    depth = MAX_NESTING - 1
+    assert b.parse("(" * depth + "(a|b)" + ")" * depth) is b.parse("[ab]")
+    with pytest.raises(ParseError) as err:
+        b.parse("(" * MAX_NESTING + "(a|b)" + ")" * MAX_NESTING)
+    assert err.value.position == MAX_NESTING
+
+
+def test_an_escape_is_memoized_by_its_written_form():
+    b = ExprBuilder(IntervalAlgebra())
+    b.parse("a\\.b\\(")
+    assert b.parse(".").symbols == b.algebra.top()
+    assert b.parse("\\.") is b.char(".")
+    with pytest.raises(ParseError) as err:
+        b.parse("(")
+    assert err.value.position == 1
+
+
+def test_a_symbol_outside_the_alphabet_fails_on_every_parse(b):
+    for _ in range(3):
+        for text, pos in (("z", 0), ("az", 1), ("a(z)", 2), ("(a|z)", 3), ("\\z*", 0), ("[ab]z", 4)):
+            with pytest.raises(ParseError, match="^symbol 'z' is not in the alphabet") as err:
+                b.parse(text)
+            assert err.value.position == pos
+    assert "z" not in b.parse_cache
 
 
 def test_nesting_limit(b):
